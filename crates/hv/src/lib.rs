@@ -42,6 +42,6 @@ pub use device::{device_claims, Completion, DeviceModel, DeviceOutcome};
 pub use machine::{cpuid_value, Machine, MachineError, RunReport, VmcsId};
 pub use program::{ComputeOnly, GuestCtx, GuestOp, GuestProgram, OpLoop};
 pub use reflector::{BaselineReflector, Reflector};
-pub use state::{program_vmcs02, L0State, L1State, Level, MachineConfig, MachineEvent, VcpuState};
+pub use state::{L0State, L1State, Level, MachineConfig, MachineEvent, VcpuState};
 pub use trace::{TraceEvent, Tracer};
 pub use vcpu::{Vcpu, VMCS_REGION_STRIDE};

@@ -34,9 +34,7 @@ use svt_sim::{
 use crate::device::{Completion, DeviceModel, DeviceOutcome};
 use crate::program::{GuestCtx, GuestOp, GuestProgram};
 use crate::reflector::{BaselineReflector, Reflector};
-use crate::state::{
-    program_vmcs02, L0State, L1State, Level, MachineConfig, MachineEvent, VcpuState,
-};
+use crate::state::{L0State, L1State, Level, MachineConfig, MachineEvent, VcpuState};
 use crate::trace::{TraceEvent, Tracer};
 use crate::vcpu::Vcpu;
 
@@ -383,9 +381,11 @@ impl Machine {
             }
         }
         if self.level == Level::L2 {
-            let Machine { l0, l1, vcpus, .. } = self;
-            for v in vcpus.iter_mut() {
-                program_vmcs02(l0, l1, &mut v.vmcs02);
+            // One shared EPT02 recompose per attach, then every vCPU's
+            // vmcs02 picks up the result.
+            self.l0.compose_nested(&self.l1);
+            for v in &mut self.vcpus {
+                self.l0.write_vmcs02(&mut v.vmcs02);
             }
         }
         self.devices.push(Some(dev));
@@ -2390,11 +2390,8 @@ impl Machine {
             self.vm_write(VmcsId::V02, f, v);
         }
         self.backward_transform();
-        {
-            let cur = self.cur;
-            let Machine { l0, l1, vcpus, .. } = self;
-            program_vmcs02(l0, l1, &mut vcpus[cur].vmcs02);
-        }
+        self.l0.compose_nested(&self.l1);
+        self.l0.write_vmcs02(&mut self.vcpus[self.cur].vmcs02);
         self.vcpus[self.cur].vmcs02.set_launched();
         self.vcpus[self.cur].vmcs12.set_launched();
         self.vcpus[self.cur].reflector = Some(r);

@@ -399,17 +399,24 @@ impl MachineConfig {
     }
 }
 
-/// Sets up one vCPU's vmcs02 execution controls from the merged policies,
-/// as L0 does when L1 launches L2 (§ 2.1). The policy merge and EPT
-/// composition are machine-wide; the control writes land in the given
-/// vCPU's descriptor.
-pub fn program_vmcs02(l0: &mut L0State, l1: &L1State, vmcs02: &mut Vmcs) {
-    l0.policy02 = l0.policy01.merge_for_nested(&l1.policy12);
-    let p02 = l0.policy02.clone();
-    p02.write_to(vmcs02);
-    l0.ept02 = l1.ept12.compose(&l0.ept01);
-    // vmcs02's EPT pointer is a host-physical address L0 owns.
-    vmcs02.write(VmcsField::EptPointer, 0xe9700000);
+impl L0State {
+    /// Re-derives the machine-wide nested state from L1's, as L0 does
+    /// when L1 launches L2 (§ 2.1) or changes its EPT: merges L1's trap
+    /// policy into `policy02` and recomposes `ept02 = ept12 ∘ ept01`.
+    /// Every vCPU's vmcs02 shares the result; follow with
+    /// [`L0State::write_vmcs02`] on each descriptor that must see it.
+    pub fn compose_nested(&mut self, l1: &L1State) {
+        self.policy02 = self.policy01.merge_for_nested(&l1.policy12);
+        self.ept02 = l1.ept12.compose(&self.ept01);
+    }
+
+    /// Writes the merged execution controls and L0's EPT pointer into one
+    /// vCPU's vmcs02.
+    pub fn write_vmcs02(&self, vmcs02: &mut Vmcs) {
+        self.policy02.write_to(vmcs02);
+        // vmcs02's EPT pointer is a host-physical address L0 owns.
+        vmcs02.write(VmcsField::EptPointer, 0xe9700000);
+    }
 }
 
 #[cfg(test)]
@@ -424,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn program_vmcs02_merges_and_composes() {
+    fn compose_nested_merges_and_composes() {
         let mut l0 = L0State::new(8);
         let mut l1 = L1State::new(8, true);
         let mut vmcs02 = Vmcs::new(
@@ -433,7 +440,8 @@ mod tests {
         );
         l1.policy12.trap_msr(0x77);
         l1.ept12.mark_mmio(3);
-        program_vmcs02(&mut l0, &l1, &mut vmcs02);
+        l0.compose_nested(&l1);
+        l0.write_vmcs02(&mut vmcs02);
         assert!(l0.policy02.msr_exits(0x77));
         assert!(!l0.policy02.shadow_vmcs);
         // The composed table has 7 RAM pages plus 1 MMIO page.

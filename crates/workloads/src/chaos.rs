@@ -14,7 +14,7 @@ use svt_obs::{MetricKey, WATCHDOGS};
 use svt_sim::{FaultPlan, SimDuration, SimTime};
 
 use crate::harness::attach_loadgen_for_seeded;
-use crate::kvstore::{EtcSource, KvService};
+use crate::kvstore::{EtcSource, KvService, KV_WARM_KEYS};
 use crate::loadgen::ArrivalMode;
 use crate::server::{RrServer, ServerConfig};
 use crate::smp::SmpPoint;
@@ -187,7 +187,7 @@ pub fn memcached_chaos(
         let mut cfg = ServerConfig::rr_on_lane(&cost, u64::MAX, v);
         cfg.timer_rearm_every = 4;
         cfg.replenish_every = 2;
-        servers.push(RrServer::new(cfg, Box::new(KvService::new(50_000))));
+        servers.push(RrServer::new(cfg, Box::new(KvService::new(KV_WARM_KEYS))));
     }
     let horizon = SimTime::ZERO
         + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())

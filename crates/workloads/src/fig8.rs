@@ -9,7 +9,7 @@ use svt_sim::SimDuration;
 use svt_stats::{SweepPoint, SweepSeries};
 
 use crate::harness::{rr_machine_seeded, DEFAULT_LANE_SEED};
-use crate::kvstore::{EtcSource, KvService};
+use crate::kvstore::{EtcSource, KvService, KV_WARM_KEYS};
 use crate::loadgen::ArrivalMode;
 use crate::server::{RrServer, ServerConfig};
 
@@ -48,7 +48,7 @@ pub fn memcached_point_seeded(
     // timer is rearmed less often than per request.
     cfg.timer_rearm_every = 4;
     cfg.replenish_every = 2;
-    let mut server = RrServer::new(cfg, Box::new(KvService::new(50_000)));
+    let mut server = RrServer::new(cfg, Box::new(KvService::new(KV_WARM_KEYS)));
     let horizon = svt_sim::SimTime::ZERO
         + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())
         + SimDuration::from_ms(80);

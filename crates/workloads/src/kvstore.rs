@@ -19,7 +19,12 @@ pub const OP_GET: u32 = 0;
 /// SET operation code.
 pub const OP_SET: u32 = 1;
 
-/// A sharded in-memory key-value store.
+/// A sharded in-memory key-value store of value *lengths*.
+///
+/// The simulated service only ever charges for and replies with a
+/// value's length, never its contents, so the store keeps one `u32` per
+/// key instead of the value bytes: a SET of a 16 KiB value costs the
+/// host 4 bytes, not a 16 KiB heap buffer.
 ///
 /// # Examples
 ///
@@ -27,13 +32,13 @@ pub const OP_SET: u32 = 1;
 /// use svt_workloads::KvStore;
 ///
 /// let mut kv = KvStore::new(16);
-/// kv.set(7, vec![1, 2, 3]);
-/// assert_eq!(kv.get(7).map(|v| v.len()), Some(3));
+/// kv.set(7, 3);
+/// assert_eq!(kv.get(7), Some(3));
 /// assert_eq!(kv.get(8), None);
 /// ```
 #[derive(Debug)]
 pub struct KvStore {
-    shards: Vec<FnvHashMap<u64, Vec<u8>>>,
+    shards: Vec<FnvHashMap<u64, u32>>,
 }
 
 impl KvStore {
@@ -53,15 +58,15 @@ impl KvStore {
         (key % self.shards.len() as u64) as usize
     }
 
-    /// Looks a key up.
-    pub fn get(&self, key: u64) -> Option<&Vec<u8>> {
-        self.shards[self.shard(key)].get(&key)
+    /// The stored value length of a key.
+    pub fn get(&self, key: u64) -> Option<u32> {
+        self.shards[self.shard(key)].get(&key).copied()
     }
 
-    /// Stores a value.
-    pub fn set(&mut self, key: u64, value: Vec<u8>) {
+    /// Stores a value of `len` bytes.
+    pub fn set(&mut self, key: u64, len: u32) {
         let s = self.shard(key);
-        self.shards[s].insert(key, value);
+        self.shards[s].insert(key, len);
     }
 
     /// Number of stored items.
@@ -125,11 +130,29 @@ impl RequestSource for EtcSource {
     }
 }
 
+/// Warm keyspace of the memcached runners: keys `0..KV_WARM_KEYS` hit
+/// from the first request on.
+pub const KV_WARM_KEYS: u64 = 50_000;
+
+/// Value length of warm key `key`: deterministic sizes spread over the
+/// ETC range.
+fn warm_len(key: u64) -> u32 {
+    (64 + (key * 37) % 1024) as u32
+}
+
 /// The memcached service: real store operations plus a calibrated
 /// per-request processing cost.
+///
+/// The pre-warmed keyspace `0..warm_keys` is not materialised: a warm
+/// key's length is a pure function of the key (`64 + (key * 37) % 1024`),
+/// so a GET looks in the store first and falls back to that function.
+/// SETs go into the store and shadow the warm value, exactly as if the
+/// warm-up had stored it. Building a service therefore allocates nothing
+/// per warm key, and dropping one frees nothing per warm key.
 #[derive(Debug)]
 pub struct KvService {
     store: KvStore,
+    warm_keys: u64,
     /// Fixed request-parsing + hashing cost.
     pub base_cost: SimDuration,
     /// Per-value-byte memcpy cost.
@@ -142,14 +165,9 @@ pub struct KvService {
 impl KvService {
     /// A service over a fresh store, pre-warmed with `warm_keys` values.
     pub fn new(warm_keys: u64) -> Self {
-        let mut store = KvStore::new(64);
-        for k in 0..warm_keys {
-            // Deterministic warm sizes spread over the ETC range.
-            let size = 64 + (k * 37) % 1024;
-            store.set(k, vec![0xAB; size as usize]);
-        }
         KvService {
-            store,
+            store: KvStore::new(64),
+            warm_keys,
             base_cost: SimDuration::from_ns(1800),
             per_byte: SimDuration::from_ps(400),
             hits: 0,
@@ -163,9 +181,17 @@ impl KvService {
         (self.hits, self.misses, self.sets)
     }
 
-    /// The underlying store.
+    /// The store of SET values; warm keys not overwritten by a SET are
+    /// derived on lookup and do not appear in it.
     pub fn store(&self) -> &KvStore {
         &self.store
+    }
+
+    /// Value length of `key`, if present.
+    fn lookup(&self, key: u64) -> Option<u32> {
+        self.store
+            .get(key)
+            .or_else(|| (key < self.warm_keys).then(|| warm_len(key)))
     }
 }
 
@@ -174,7 +200,7 @@ impl ServiceModel for KvService {
         match req.op {
             OP_SET => {
                 self.sets += 1;
-                self.store.set(req.key, vec![0xCD; req.vsize as usize]);
+                self.store.set(req.key, req.vsize);
                 ServeOutput {
                     compute: self.base_cost + self.per_byte * req.vsize as u64,
                     reply_len: 8,
@@ -182,15 +208,16 @@ impl ServiceModel for KvService {
                 }
             }
             _ => {
-                let (found, len) = match self.store.get(req.key) {
-                    Some(v) => (true, v.len() as u32),
-                    None => (false, 0),
+                let len = match self.lookup(req.key) {
+                    Some(len) => {
+                        self.hits += 1;
+                        len
+                    }
+                    None => {
+                        self.misses += 1;
+                        0
+                    }
                 };
-                if found {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                }
                 ServeOutput {
                     compute: self.base_cost + self.per_byte * len as u64,
                     reply_len: 8 + len,
@@ -209,15 +236,122 @@ mod tests {
     fn store_round_trip_and_sharding() {
         let mut kv = KvStore::new(4);
         for k in 0..100 {
-            kv.set(k, vec![k as u8; (k % 32) as usize + 1]);
+            kv.set(k, (k % 32) as u32 + 1);
         }
         assert_eq!(kv.len(), 100);
         for k in 0..100 {
-            assert_eq!(kv.get(k).unwrap().len(), (k % 32) as usize + 1);
+            assert_eq!(kv.get(k).unwrap(), (k % 32) as u32 + 1);
         }
-        kv.set(5, vec![9]);
-        assert_eq!(kv.get(5).unwrap(), &vec![9]);
+        kv.set(5, 1);
+        assert_eq!(kv.get(5).unwrap(), 1);
         assert_eq!(kv.len(), 100);
+    }
+
+    /// The store and service as they were before value lengths: every
+    /// warm key and every SET holds a materialised value buffer.
+    struct ByteKvService {
+        shards: Vec<FnvHashMap<u64, Vec<u8>>>,
+        base_cost: SimDuration,
+        per_byte: SimDuration,
+        hits: u64,
+        misses: u64,
+        sets: u64,
+    }
+
+    impl ByteKvService {
+        fn new(warm_keys: u64) -> Self {
+            let mut svc = ByteKvService {
+                shards: (0..64).map(|_| FnvHashMap::default()).collect(),
+                base_cost: SimDuration::from_ns(1800),
+                per_byte: SimDuration::from_ps(400),
+                hits: 0,
+                misses: 0,
+                sets: 0,
+            };
+            for k in 0..warm_keys {
+                let size = 64 + (k * 37) % 1024;
+                svc.shards[(k % 64) as usize].insert(k, vec![0xAB; size as usize]);
+            }
+            svc
+        }
+
+        fn serve(&mut self, req: &ParsedRequest) -> ServeOutput {
+            let shard = &mut self.shards[(req.key % 64) as usize];
+            if req.op == OP_SET {
+                self.sets += 1;
+                shard.insert(req.key, vec![0xCD; req.vsize as usize]);
+                return ServeOutput {
+                    compute: self.base_cost + self.per_byte * req.vsize as u64,
+                    reply_len: 8,
+                    ..ServeOutput::default()
+                };
+            }
+            let len = match shard.get(&req.key) {
+                Some(v) => {
+                    self.hits += 1;
+                    v.len() as u32
+                }
+                None => {
+                    self.misses += 1;
+                    0
+                }
+            };
+            ServeOutput {
+                compute: self.base_cost + self.per_byte * len as u64,
+                reply_len: 8 + len,
+                ..ServeOutput::default()
+            }
+        }
+    }
+
+    #[test]
+    fn length_service_matches_the_byte_service() {
+        for warm_keys in [0, 100, KV_WARM_KEYS] {
+            let mut lengths = KvService::new(warm_keys);
+            let mut bytes = ByteKvService::new(warm_keys);
+            let mut mem = GuestMemory::new(4096);
+            let mut src = EtcSource::new(100_000);
+            let mut rng = DetRng::seed(warm_keys + 1);
+            let mut reqs: Vec<ParsedRequest> = (0..20_000)
+                .map(|_| {
+                    let r = src.next(&mut rng);
+                    ParsedRequest {
+                        send_ps: 0,
+                        key: r.key,
+                        op: r.op,
+                        vsize: r.vsize,
+                    }
+                })
+                .collect();
+            // Keys at and past the warm boundary: miss, SET, then hit.
+            for key in [
+                warm_keys.saturating_sub(1),
+                warm_keys,
+                warm_keys + 1,
+                u64::MAX,
+            ] {
+                for (op, vsize) in [(OP_GET, 0), (OP_SET, 3000), (OP_GET, 0)] {
+                    reqs.push(ParsedRequest {
+                        send_ps: 0,
+                        key,
+                        op,
+                        vsize,
+                    });
+                }
+            }
+            for (i, req) in reqs.iter().enumerate() {
+                assert_eq!(
+                    lengths.serve(req, &mut mem),
+                    bytes.serve(req),
+                    "warm_keys {warm_keys}, request {i}: {req:?}"
+                );
+            }
+            assert_eq!(
+                lengths.counters(),
+                (bytes.hits, bytes.misses, bytes.sets),
+                "warm_keys {warm_keys}"
+            );
+        }
     }
 
     #[test]

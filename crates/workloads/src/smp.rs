@@ -15,7 +15,7 @@ use svt_obs::{folded_stacks, CriticalPath};
 use svt_sim::{SimDuration, SimTime};
 
 use crate::harness::{attach_blk_for, attach_loadgen_for_seeded, DEFAULT_LANE_SEED};
-use crate::kvstore::{EtcSource, KvService};
+use crate::kvstore::{EtcSource, KvService, KV_WARM_KEYS};
 use crate::layout;
 use crate::loadgen::ArrivalMode;
 use crate::server::{RrServer, ServerConfig};
@@ -243,7 +243,7 @@ fn memcached_run(
         cfg.timer_rearm_every = 4;
         cfg.replenish_every = 2;
         // One kv shard per vCPU: no cross-vCPU application state.
-        servers.push(RrServer::new(cfg, Box::new(KvService::new(50_000))));
+        servers.push(RrServer::new(cfg, Box::new(KvService::new(KV_WARM_KEYS))));
     }
     let horizon = SimTime::ZERO
         + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())

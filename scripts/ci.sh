@@ -372,6 +372,17 @@ if cov < 0.90:
 else:
     print(f"ok   attribution covers {100*cov:.1f}% of the sweep's wall-clock")
 
+# No single subsystem may hold more than half of the profiled wall time:
+# a part that large is set-up waste to remove or a layer to split.
+total_ns = hp["total_wall_ns"]
+worst = max(hp["parts"], key=lambda p: p["wall_ns"])
+share = worst["wall_ns"] / total_ns if total_ns else 1.0
+if share > 0.50:
+    print(f"FAIL: {worst['part']} holds {100*share:.1f}% of wall time (> 50%)")
+    ok = False
+else:
+    print(f"ok   largest part {worst['part']} holds {100*share:.1f}% of wall time")
+
 # The trap-shape census must be non-degenerate and show the steady-state
 # repetition the memoization roadmap item is sized from.
 if hp["events"] <= 0 or hp["distinct_shapes"] <= 0:

@@ -56,7 +56,10 @@ fn memcached_l0_time_dominated_by_ept_misconfig() {
     let mut cfg = ServerConfig::rr_defaults(&cost, 200);
     cfg.timer_rearm_every = 4;
     cfg.replenish_every = 2;
-    let mut server = RrServer::new(cfg, Box::new(svt::workloads::KvService::new(50_000)));
+    let mut server = RrServer::new(
+        cfg,
+        Box::new(svt::workloads::KvService::new(svt::workloads::KV_WARM_KEYS)),
+    );
     m.run(&mut server).unwrap();
 
     let total = m.clock.now().since(svt::sim::SimTime::ZERO).as_ns();
