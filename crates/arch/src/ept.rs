@@ -129,9 +129,21 @@ impl Ept {
 
     /// Identity-maps `n` pages starting at page `start`.
     pub fn identity_map(&mut self, start: u64, n: u64, perms: EptPerms) {
-        for p in start..start + n {
-            self.map_page(p, p, perms);
-        }
+        // Bulk-build the sorted run, then merge it in: both steps are
+        // linear and fill B-tree nodes, where `n` single inserts would
+        // split (and allocate) a node every few pages.
+        let mut run: BTreeMap<u64, Entry> = (start..start + n)
+            .map(|p| {
+                (
+                    p,
+                    Entry::Mapped {
+                        target_page: p,
+                        perms,
+                    },
+                )
+            })
+            .collect();
+        self.entries.append(&mut run);
     }
 
     /// Marks a page as MMIO: any access raises [`EptFault::Misconfig`],
@@ -199,21 +211,32 @@ impl Ept {
     ///   them lazily, like real shadow paging.
     /// * Permissions intersect.
     pub fn compose(&self, outer: &Ept) -> Ept {
-        let mut out = Ept::new();
-        for (&g2_page, entry) in &self.entries {
-            match entry {
-                Entry::Mmio => out.mark_mmio(g2_page),
-                Entry::Mapped { target_page, perms } => match outer.entries.get(target_page) {
-                    Some(Entry::Mmio) => out.mark_mmio(g2_page),
-                    Some(Entry::Mapped {
-                        target_page: hpa_page,
-                        perms: outer_perms,
-                    }) => out.map_page(g2_page, *hpa_page, perms.intersect(*outer_perms)),
-                    None => {}
-                },
-            }
+        // `self.entries` iterates in key order, so collecting bulk-builds
+        // the result instead of inserting page by page.
+        let entries = self
+            .entries
+            .iter()
+            .filter_map(|(&g2_page, entry)| {
+                let composed = match entry {
+                    Entry::Mmio => Entry::Mmio,
+                    Entry::Mapped { target_page, perms } => match outer.entries.get(target_page)? {
+                        Entry::Mmio => Entry::Mmio,
+                        Entry::Mapped {
+                            target_page: hpa_page,
+                            perms: outer_perms,
+                        } => Entry::Mapped {
+                            target_page: *hpa_page,
+                            perms: perms.intersect(*outer_perms),
+                        },
+                    },
+                };
+                Some((g2_page, composed))
+            })
+            .collect();
+        Ept {
+            entries,
+            ..Ept::default()
         }
-        out
     }
 
     /// Serializes the table for `svt_sim::snapshot`. `BTreeMap` iteration
@@ -345,6 +368,24 @@ mod tests {
         assert_eq!(e.len(), 5);
         assert!(e.translate(Gpa(14 * PAGE_SIZE), Access::Read).is_ok());
         assert!(e.translate(Gpa(15 * PAGE_SIZE), Access::Read).is_err());
+    }
+
+    #[test]
+    fn bulk_identity_map_equals_page_by_page() {
+        let mut bulk = Ept::new();
+        let mut single = Ept::new();
+        for e in [&mut bulk, &mut single] {
+            e.mark_mmio(3);
+            e.map_page(20, 7, EptPerms::RX);
+        }
+        bulk.identity_map(0, 16, EptPerms::RWX);
+        for p in 0..16 {
+            single.map_page(p, p, EptPerms::RWX);
+        }
+        let (mut a, mut b) = (svt_sim::SnapWriter::new(), svt_sim::SnapWriter::new());
+        bulk.snap_save(&mut a);
+        single.snap_save(&mut b);
+        assert_eq!(a.into_vec(), b.into_vec());
     }
 
     #[test]

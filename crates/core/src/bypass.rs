@@ -15,7 +15,7 @@
 use svt_arch::{ExitReason, VmcsField};
 use svt_cpu::{CtxId, CtxtLevel, Gpr};
 use svt_hv::{Machine, Reflector};
-use svt_sim::CostPart;
+use svt_sim::{CostPart, SimCounter};
 
 const CTX_L0: CtxId = CtxId(0);
 const CTX_L1: CtxId = CtxId(1);
@@ -134,7 +134,7 @@ impl Reflector for BypassReflector {
     fn l2_gpr_read(&mut self, m: &mut Machine, r: Gpr) -> u64 {
         let c = m.cost.ctxt_reg_access;
         m.clock.charge(c);
-        m.clock.count("ctxtld");
+        m.clock.count(SimCounter::Ctxtld);
         m.core
             .ctxtld(CtxtLevel::Guest, r)
             .expect("SVt target configured")
@@ -143,7 +143,7 @@ impl Reflector for BypassReflector {
     fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
         let c = m.cost.ctxt_reg_access;
         m.clock.charge(c);
-        m.clock.count("ctxtst");
+        m.clock.count(SimCounter::Ctxtst);
         m.core
             .ctxtst(CtxtLevel::Guest, r, v)
             .expect("SVt target configured");

@@ -123,15 +123,15 @@ impl Command {
     }
 
     /// Serializes to the ring-payload byte layout.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(PAYLOAD_LEN);
-        out.extend_from_slice(&self.kind.to_le_bytes());
-        out.extend_from_slice(&self.csum.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.code.to_le_bytes());
-        out.extend_from_slice(&self.qual.to_le_bytes());
-        for (_, v) in self.gprs.iter() {
-            out.extend_from_slice(&v.to_le_bytes());
+    pub fn encode(&self) -> [u8; PAYLOAD_LEN] {
+        let mut out = [0u8; PAYLOAD_LEN];
+        out[0..4].copy_from_slice(&self.kind.to_le_bytes());
+        out[4..8].copy_from_slice(&self.csum.to_le_bytes());
+        out[8..16].copy_from_slice(&self.seq.to_le_bytes());
+        out[16..24].copy_from_slice(&self.code.to_le_bytes());
+        out[24..32].copy_from_slice(&self.qual.to_le_bytes());
+        for (slot, (_, v)) in out[32..].chunks_exact_mut(8).zip(self.gprs.iter()) {
+            slot.copy_from_slice(&v.to_le_bytes());
         }
         out
     }
@@ -220,7 +220,7 @@ mod tests {
         let c = sample();
         let clean = c.encode();
         for i in 0..PAYLOAD_LEN {
-            let mut bytes = clean.clone();
+            let mut bytes = clean;
             bytes[i] ^= 0xa5;
             let got = Command::decode(&bytes).unwrap();
             assert!(!got.verify(), "flip at byte {i} slipped past the checksum");
@@ -234,6 +234,25 @@ mod tests {
         let back = Command::decode(&c.encode()).unwrap();
         assert_eq!(back.seq, 0xdead_beef);
         assert!(back.verify());
+    }
+
+    #[test]
+    fn ring_corruption_is_caught_through_the_buffer_path() {
+        use svt_mem::{CommandRing, GuestMemory, Hpa};
+        let mut ram = GuestMemory::new(1 << 20);
+        let ring = CommandRing::new(Hpa(0x1000), 4 + PAYLOAD_LEN as u32, 4);
+        ring.init(&mut ram).unwrap();
+        let c = sample();
+        ring.push(&mut ram, &c.encode()).unwrap();
+        assert!(ring.corrupt_newest(&mut ram, 17).unwrap());
+        let mut buf = [0u8; PAYLOAD_LEN];
+        assert_eq!(ring.pop(&mut ram, &mut buf).unwrap(), Some(PAYLOAD_LEN));
+        let got = Command::decode(&buf).unwrap();
+        assert_ne!(got, c);
+        assert!(
+            !got.verify(),
+            "a corrupted ring entry must fail verification"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use svt_arch::{ExitReason, VmcsField};
 use svt_cpu::{CtxId, CtxtLevel, Gpr};
 use svt_hv::{Machine, Reflector};
 use svt_obs::{MetricKey, ObsLevel};
-use svt_sim::CostPart;
+use svt_sim::{CostPart, SimCounter};
 
 /// Hardware context assignments (the example of § 4).
 const CTX_L0: CtxId = CtxId(0);
@@ -244,7 +244,7 @@ impl Reflector for HwSvtReflector {
     fn l2_gpr_read(&mut self, m: &mut Machine, r: Gpr) -> u64 {
         let c = m.cost.ctxt_reg_access;
         m.clock.charge(c);
-        m.clock.count("ctxtld");
+        m.clock.count(SimCounter::Ctxtld);
         m.obs
             .metrics
             .inc(MetricKey::new("ctxt_reg_access").reflector("hw-svt"));
@@ -256,7 +256,7 @@ impl Reflector for HwSvtReflector {
     fn l2_gpr_write(&mut self, m: &mut Machine, r: Gpr, v: u64) {
         let c = m.cost.ctxt_reg_access;
         m.clock.charge(c);
-        m.clock.count("ctxtst");
+        m.clock.count(SimCounter::Ctxtst);
         m.obs
             .metrics
             .inc(MetricKey::new("ctxt_reg_access").reflector("hw-svt"));

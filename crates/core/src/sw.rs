@@ -27,7 +27,7 @@ use svt_cpu::Gpr;
 use svt_hv::{Level, Machine, MachineEvent, Reflector};
 use svt_mem::{CommandRing, Hpa};
 use svt_obs::{HostPart, MetricKey, ObsLevel};
-use svt_sim::{CostPart, FaultKind, Placement, SimDuration};
+use svt_sim::{CostPart, FaultKind, Placement, SimCounter, SimDuration};
 
 use crate::commands::{Command, ProtocolError, CMD_VM_RESUME, CMD_VM_TRAP, PAYLOAD_LEN};
 use crate::degrade::{transition_label, DegradeFsm, SvtHealth, Transition};
@@ -160,13 +160,17 @@ impl SwSvtReflector {
         let base = 0x10_0000 + m.current_vcpu() as u64 * SVT_RING_STRIDE;
         let cmd = CommandRing::new(Hpa(base), 256, 16);
         let resp = CommandRing::new(Hpa(base + cmd.footprint()), 256, 16);
+        // Pairing maps the whole slice: materialize every page both rings
+        // span now, so no steady-state push faults a page in.
+        let region = vec![0u8; (cmd.footprint() + resp.footprint()) as usize];
+        m.ram.write(Hpa(base), &region).expect("ring region in RAM");
         cmd.init(&mut m.ram).expect("ring region in RAM");
         resp.init(&mut m.ram).expect("ring region in RAM");
         self.cmd_ring = Some(cmd);
         self.resp_ring = Some(resp);
         let c = m.cost.l0_exit_decode + m.cost.l0_run_loop;
         m.clock.charge(c); // the pairing hypercall
-        m.clock.count("svt_pairing_hypercall");
+        m.clock.count(SimCounter::SvtPairingHypercall);
     }
 
     /// Detection latency for one command at this channel configuration.
@@ -215,7 +219,6 @@ impl SwSvtReflector {
     ) -> Result<(), ProtocolError> {
         let ring = self.ring(ring_is_cmd);
         let payload = cmd.encode();
-        debug_assert_eq!(payload.len(), PAYLOAD_LEN);
         let (enq, deq) = if ring_is_cmd {
             ("svt_cmd_enqueue", "svt_cmd_dequeue")
         } else {
@@ -223,16 +226,16 @@ impl SwSvtReflector {
         };
         let key = Self::ring_key(m, ring_is_cmd);
         if ring.push(&mut m.ram, &payload).is_err() {
-            m.clock.count("svt_ring_full");
+            m.clock.count(SimCounter::SvtRingFull);
             m.obs
                 .metrics
                 .inc(MetricKey::new("svt_ring_full").reflector("sw-svt"));
             // Every queued entry is from an earlier, already-failed
             // attempt (the protocol is lockstep); discard the oldest.
-            match ring.pop(&mut m.ram) {
+            match ring.pop(&mut m.ram, &mut [0u8; PAYLOAD_LEN]) {
                 Ok(Some(_)) => {
                     m.obs.causal.ring_dequeue(deq, key, m.clock.now());
-                    m.clock.count("svt_stale_discarded");
+                    m.clock.count(SimCounter::SvtStaleDiscarded);
                 }
                 _ => return Err(ProtocolError::RingFull),
             }
@@ -265,14 +268,15 @@ impl SwSvtReflector {
             "svt_resp_dequeue"
         };
         let key = Self::ring_key(m, ring_is_cmd);
+        let mut buf = [0u8; PAYLOAD_LEN];
         loop {
-            let payload = match ring.pop(&mut m.ram) {
-                Ok(Some(p)) => p,
+            let len = match ring.pop(&mut m.ram, &mut buf) {
+                Ok(Some(n)) => n,
                 Ok(None) => return Err(ProtocolError::Empty),
                 Err(_) => return Err(ProtocolError::Malformed),
             };
             m.obs.causal.ring_dequeue(phase, key, m.clock.now());
-            let Some(cmd) = Command::decode(&payload) else {
+            let Some(cmd) = buf.get(..len).and_then(Command::decode) else {
                 return Err(ProtocolError::Malformed);
             };
             if !cmd.verify() {
@@ -281,7 +285,7 @@ impl SwSvtReflector {
             if cmd.seq < want_seq {
                 // Leftover from a failed attempt, or a duplicate of an
                 // already-accepted command: drop and keep looking.
-                m.clock.count("svt_duplicates_dropped");
+                m.clock.count(SimCounter::SvtDuplicatesDropped);
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_duplicates_dropped").reflector("sw-svt"));
@@ -312,9 +316,10 @@ impl SwSvtReflector {
             "svt_resp_dequeue"
         };
         let key = Self::ring_key(m, ring_is_cmd);
-        while let Ok(Some(_)) = ring.pop(&mut m.ram) {
+        let mut buf = [0u8; PAYLOAD_LEN];
+        while let Ok(Some(_)) = ring.pop(&mut m.ram, &mut buf) {
             m.obs.causal.ring_dequeue(phase, key, m.clock.now());
-            m.clock.count("svt_duplicates_dropped");
+            m.clock.count(SimCounter::SvtDuplicatesDropped);
             m.obs
                 .metrics
                 .inc(MetricKey::new("svt_duplicates_dropped").reflector("sw-svt"));
@@ -344,7 +349,7 @@ impl SwSvtReflector {
     /// recorder so the causal tail leading up to the failure survives.
     fn note_transition(&mut self, m: &mut Machine, t: Transition) {
         let label = transition_label(t);
-        m.clock.count("svt_state_transition");
+        m.clock.count(SimCounter::SvtStateTransition);
         m.obs.metrics.inc(
             MetricKey::new("svt_state_transition")
                 .exit(label)
@@ -395,7 +400,7 @@ impl SwSvtReflector {
         let mut outcome = Err(ProtocolError::Empty);
         for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
-                m.clock.count("svt_retransmits");
+                m.clock.count(SimCounter::SvtRetransmits);
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_retransmits").reflector("sw-svt"));
@@ -411,7 +416,7 @@ impl SwSvtReflector {
                 // the ring: the transfer cost is paid, nothing arrives.
                 let c = m.cost.cacheline(self.placement) * (cmd.cache_lines() + 1);
                 m.clock.charge(c);
-                m.clock.count("svt_cmds_lost");
+                m.clock.count(SimCounter::SvtCmdsLost);
             } else {
                 if let Err(e) = self.send(m, ring_is_cmd, &cmd) {
                     outcome = Err(e);
@@ -425,7 +430,7 @@ impl SwSvtReflector {
                     let ring = self.ring(ring_is_cmd);
                     let byte = (seq as usize).wrapping_mul(31) % PAYLOAD_LEN;
                     let _ = ring.corrupt_newest(&mut m.ram, byte);
-                    m.clock.count("svt_cmds_corrupted");
+                    m.clock.count(SimCounter::SvtCmdsCorrupted);
                 }
                 if m.roll_fault(FaultKind::CmdDuplicate) {
                     // A spurious second copy with the same sequence
@@ -438,7 +443,7 @@ impl SwSvtReflector {
                         "svt_resp_enqueue"
                     };
                     m.obs.causal.ring_enqueue(enq, key, m.clock.now());
-                    m.clock.count("svt_cmds_duplicated");
+                    m.clock.count(SimCounter::SvtCmdsDuplicated);
                 }
             }
 
@@ -448,7 +453,7 @@ impl SwSvtReflector {
                 // re-arm and go back to waiting.
                 let c = self.wake_cost(m);
                 m.clock.charge(c);
-                m.clock.count("svt_spurious_wakeups");
+                m.clock.count(SimCounter::SvtSpuriousWakeups);
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_spurious_wakeups").reflector("sw-svt"));
@@ -459,7 +464,7 @@ impl SwSvtReflector {
                 // the wait and the waiter re-arms for a retry.
                 let c = self.timeout_cost(m);
                 m.clock.charge(c);
-                m.clock.count("svt_timeouts");
+                m.clock.count(SimCounter::SvtTimeouts);
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_timeouts").reflector("sw-svt"));
@@ -478,7 +483,7 @@ impl SwSvtReflector {
                     break;
                 }
                 Err(e) => {
-                    m.clock.count("svt_protocol_errors");
+                    m.clock.count(SimCounter::SvtProtocolErrors);
                     m.obs.metrics.inc(
                         MetricKey::new("svt_protocol_errors")
                             .exit(e.name())
@@ -533,7 +538,7 @@ impl SwSvtReflector {
                 let blocked_begin = m.clock.now();
                 m.obs.causal.blocked_enter(blocked_begin);
                 self.push_protocol(m, true);
-                m.clock.count("svt_blocked");
+                m.clock.count(SimCounter::SvtBlocked);
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_blocked").reflector("sw-svt"));
@@ -575,7 +580,7 @@ impl SwSvtReflector {
     /// the machine would do under [`svt_hv::BaselineReflector`]. Used
     /// when the degradation policy has written the ring off.
     fn reflect_fallback(&mut self, m: &mut Machine, exit: ExitReason) {
-        m.clock.count("svt_trap_fallback");
+        m.clock.count(SimCounter::SvtTrapFallback);
         m.obs
             .metrics
             .inc(MetricKey::new("svt_trap_fallback").reflector("sw-svt"));
@@ -706,7 +711,7 @@ impl Reflector for SwSvtReflector {
                 // The SVt-thread never saw the trap; its handler has not
                 // run. Serve this trap's middle the classic way.
                 self.fell_back_mid_trap = true;
-                m.clock.count("svt_trap_fallback");
+                m.clock.count(SimCounter::SvtTrapFallback);
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_trap_fallback").reflector("sw-svt"));
@@ -721,7 +726,7 @@ impl Reflector for SwSvtReflector {
         if m.roll_fault(FaultKind::SiblingDelay) {
             let d = m.faults.delay();
             m.clock.charge_as(CostPart::L1Handler, d);
-            m.clock.count("svt_sibling_delays");
+            m.clock.count(SimCounter::SvtSiblingDelays);
             m.obs
                 .metrics
                 .inc(MetricKey::new("svt_sibling_delays").reflector("sw-svt"));
@@ -746,7 +751,7 @@ impl Reflector for SwSvtReflector {
         match self.xfer(m, false, CMD_VM_RESUME, code, qual, steal) {
             Ok(resp) => {
                 m.vcpu2_mut().gprs = resp.gprs;
-                m.clock.count("svt_trap_ring");
+                m.clock.count(SimCounter::SvtTrapRing);
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_trap_ring").reflector("sw-svt"));
@@ -762,7 +767,7 @@ impl Reflector for SwSvtReflector {
                 // doorbell is gone. L0's bounded wait expired — finish
                 // through the classic exit path.
                 self.fell_back_mid_trap = true;
-                m.clock.count("svt_resume_fallback");
+                m.clock.count(SimCounter::SvtResumeFallback);
                 m.obs
                     .metrics
                     .inc(MetricKey::new("svt_resume_fallback").reflector("sw-svt"));
@@ -791,10 +796,10 @@ impl Reflector for SwSvtReflector {
                 if m.shadowing {
                     let c = m.cost.vmread;
                     m.clock.charge(c);
-                    m.clock.count("shadow_vmread");
+                    m.clock.count(SimCounter::ShadowVmread);
                     m.vmcs12().read(f)
                 } else {
-                    m.clock.count("l1_vmread_exit");
+                    m.clock.count(SimCounter::L1VmreadExit);
                     s.l1_exit_roundtrip(m, ExitReason::Vmread { field: f }, 0)
                 }
             };

@@ -101,11 +101,30 @@ pub trait DeviceModel: fmt::Debug {
     }
 }
 
-/// Checks whether `gpa` falls into any of the device's ranges.
-pub fn device_claims(dev: &dyn DeviceModel, gpa: Gpa) -> bool {
-    dev.ranges()
-        .iter()
-        .any(|(base, len)| gpa.0 >= base.0 && gpa.0 < base.0 + len)
+/// The MMIO routing table: every attached device's claimed ranges,
+/// recorded once at attach so routing an access never calls
+/// [`DeviceModel::ranges`] (which allocates).
+#[derive(Debug, Default)]
+pub(crate) struct MmioMap {
+    // (base, len, device index), in attach order: the first match is the
+    // lowest-indexed claiming device.
+    ranges: Vec<(Gpa, u64, usize)>,
+}
+
+impl MmioMap {
+    /// Records that device `idx` occupies `ranges`.
+    pub(crate) fn claim(&mut self, idx: usize, ranges: &[(Gpa, u64)]) {
+        self.ranges
+            .extend(ranges.iter().map(|&(base, len)| (base, len, idx)));
+    }
+
+    /// The index of the first device whose ranges contain `gpa`.
+    pub(crate) fn device_at(&self, gpa: Gpa) -> Option<usize> {
+        self.ranges
+            .iter()
+            .find(|(base, len, _)| gpa.0 >= base.0 && gpa.0 < base.0 + len)
+            .map(|&(_, _, idx)| idx)
+    }
 }
 
 #[cfg(test)]
@@ -148,12 +167,15 @@ mod tests {
 
     #[test]
     fn range_claiming() {
-        let d = Dummy;
-        assert!(device_claims(&d, Gpa(0x1000)));
-        assert!(device_claims(&d, Gpa(0x10ff)));
-        assert!(!device_claims(&d, Gpa(0x1100)));
-        assert!(device_claims(&d, Gpa(0x3008)));
-        assert!(!device_claims(&d, Gpa(0x0fff)));
+        let mut map = MmioMap::default();
+        map.claim(0, &Dummy.ranges());
+        map.claim(1, &[(Gpa(0x1080), 0x100)]);
+        assert_eq!(map.device_at(Gpa(0x1000)), Some(0));
+        assert_eq!(map.device_at(Gpa(0x10ff)), Some(0));
+        assert_eq!(map.device_at(Gpa(0x1100)), Some(1));
+        assert_eq!(map.device_at(Gpa(0x1180)), None);
+        assert_eq!(map.device_at(Gpa(0x3008)), Some(0));
+        assert_eq!(map.device_at(Gpa(0x0fff)), None);
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod state;
 mod trace;
 mod vcpu;
 
-pub use device::{device_claims, Completion, DeviceModel, DeviceOutcome};
+pub use device::{Completion, DeviceModel, DeviceOutcome};
 pub use machine::{cpuid_value, Machine, MachineError, RunReport, VmcsId};
 pub use program::{ComputeOnly, GuestCtx, GuestOp, GuestProgram, OpLoop};
 pub use reflector::{BaselineReflector, Reflector};

@@ -28,10 +28,10 @@ use svt_mem::{Gpa, GuestMemory};
 use svt_obs::{HostPart, MetricKey, Obs, ObsLevel};
 use svt_sim::{
     assign_svt_cores, Clock, CostModel, CostPart, CpuLoc, EventQueue, FaultKind, FaultPlan,
-    MachineSpec, SimDuration, SimTime,
+    MachineSpec, SimCounter, SimDuration, SimTime,
 };
 
-use crate::device::{Completion, DeviceModel, DeviceOutcome};
+use crate::device::{Completion, DeviceModel, DeviceOutcome, MmioMap};
 use crate::program::{GuestCtx, GuestOp, GuestProgram};
 use crate::reflector::{BaselineReflector, Reflector};
 use crate::state::{L0State, L1State, Level, MachineConfig, MachineEvent, VcpuState};
@@ -153,6 +153,7 @@ pub struct Machine {
     vcpus: Vec<Vcpu>,
     cur: usize,
     devices: Vec<Option<Box<dyn DeviceModel>>>,
+    mmio: MmioMap,
     device_affinity: Vec<usize>,
     pending_mmio: Option<MmioOp>,
     pending_msr: Option<u64>,
@@ -224,6 +225,7 @@ impl Machine {
             vcpus: vec![Vcpu::new(0, loc, smt, reflector)],
             cur: 0,
             devices: Vec::new(),
+            mmio: MmioMap::default(),
             device_affinity: Vec::new(),
             pending_mmio: None,
             pending_msr: None,
@@ -369,7 +371,8 @@ impl Machine {
     /// vCPU `vcpu` (per-vCPU queue-to-IRQ affinity).
     pub fn add_device_for(&mut self, dev: Box<dyn DeviceModel>, vcpu: usize) -> usize {
         assert!(vcpu < self.vcpus.len(), "device affinity to unknown vCPU");
-        for (base, len) in dev.ranges() {
+        let ranges = dev.ranges();
+        for &(base, len) in &ranges {
             let first = base.page();
             let last = (base + (len - 1)).page();
             for p in first..=last {
@@ -388,6 +391,7 @@ impl Machine {
                 self.l0.write_vmcs02(&mut v.vmcs02);
             }
         }
+        self.mmio.claim(self.devices.len(), &ranges);
         self.devices.push(Some(dev));
         self.device_affinity.push(vcpu);
         self.devices.len() - 1
@@ -1000,7 +1004,7 @@ impl Machine {
                 self.clock.push_part(self.guest_part());
                 self.clock.charge(self.cost.guest_irq_entry);
                 self.clock.pop_part(self.guest_part());
-                self.clock.count("irq_delivered");
+                self.clock.count(SimCounter::IrqDelivered);
                 self.obs
                     .metrics
                     .inc(MetricKey::new("irq_delivered").level(self.level.obs()));
@@ -1152,7 +1156,7 @@ impl Machine {
                 let v = self.l1.apic.ack();
                 debug_assert_eq!(v, Some(svt_arch::VECTOR_IPI));
                 self.l1.apic.eoi();
-                self.clock.count("l1_ipi_direct");
+                self.clock.count(SimCounter::L1IpiDirect);
             }
             MachineEvent::Ipi { to, cmd, seq } => {
                 debug_assert_eq!(to, self.cur, "IPI routed to the wrong vCPU");
@@ -1161,14 +1165,14 @@ impl Machine {
                 // here, before the causal graph's receive edge or the APIC
                 // ever see it.
                 if !self.vcpus[to].ipi_rx_seen.insert(seq) {
-                    self.clock.count("ipi_duplicates_absorbed");
+                    self.clock.count(SimCounter::IpiDuplicatesAbsorbed);
                     self.obs
                         .metrics
                         .inc(MetricKey::new("ipi_duplicates_absorbed").vcpu(to as u32));
                     return;
                 }
                 self.obs.causal.ipi_recv(self.clock.now());
-                self.clock.count("ipi_received");
+                self.clock.count(SimCounter::IpiReceived);
                 self.obs
                     .metrics
                     .inc(MetricKey::new("ipi_received").vcpu(to as u32));
@@ -1204,12 +1208,12 @@ impl Machine {
     /// (and counted), as hardware would.
     pub fn send_ipi(&mut self, icr: u64) {
         let Some(cmd) = IcrCommand::decode(icr) else {
-            self.clock.count("ipi_bad_icr");
+            self.clock.count(SimCounter::IpiBadIcr);
             return;
         };
         let to = cmd.dest as usize;
         if to >= self.vcpus.len() {
-            self.clock.count("ipi_dropped");
+            self.clock.count(SimCounter::IpiDropped);
             return;
         }
         let seq = self.vcpus[to].ipi_tx_seq;
@@ -1222,7 +1226,7 @@ impl Machine {
             let redeliver = at + self.cost.ipi_deliver;
             self.events
                 .schedule(redeliver, MachineEvent::Ipi { to, cmd, seq });
-            self.clock.count("ipi_retransmits");
+            self.clock.count(SimCounter::IpiRetransmits);
             self.obs
                 .metrics
                 .inc(MetricKey::new("ipi_retransmits").vcpu(self.cur as u32));
@@ -1238,7 +1242,7 @@ impl Machine {
             }
         }
         self.obs.causal.ipi_send(to as u32, self.clock.now());
-        self.clock.count("ipi_sent");
+        self.clock.count(SimCounter::IpiSent);
         self.obs
             .metrics
             .inc(MetricKey::new("ipi_sent").vcpu(self.cur as u32));
@@ -1339,7 +1343,7 @@ impl Machine {
         self.pending_work = Some(work);
         let reason = ExitReason::ExternalInterrupt { vector };
         self.clock.push_tag("EXTERNAL_INTERRUPT");
-        self.clock.count("l2_exit_chain");
+        self.clock.count(SimCounter::L2ExitChain);
         if !was_halted {
             r.l2_trap(self);
         } else {
@@ -1408,14 +1412,14 @@ impl Machine {
                 self.pending_result = Some(0);
             }
             GuestOp::MmioWrite { gpa, value } => {
-                if let Some(idx) = self.device_at(gpa) {
+                if let Some(idx) = self.mmio.device_at(gpa) {
                     let out =
                         self.with_device(idx, |d, mem, now| d.mmio_write(gpa, value, mem, now));
                     self.apply_outcome_native(idx, out);
                 }
             }
             GuestOp::MmioRead { gpa } => {
-                if let Some(idx) = self.device_at(gpa) {
+                if let Some(idx) = self.mmio.device_at(gpa) {
                     let (v, out) = self.with_device(idx, |d, mem, now| d.mmio_read(gpa, mem, now));
                     self.apply_outcome_native(idx, out);
                     self.pending_result = Some(v);
@@ -1514,7 +1518,7 @@ impl Machine {
         self.obs.hostprof.trap_begin();
         self.obs.hostprof.shape_fold_str("single");
         self.obs.hostprof.shape_fold_str(tag);
-        self.clock.count("l1_direct_exit");
+        self.clock.count(SimCounter::L1DirectExit);
         self.obs
             .metrics
             .inc(MetricKey::new("vm_exit").level(ObsLevel::L1).exit(tag));
@@ -1556,7 +1560,8 @@ impl Machine {
             ExitReason::EptMisconfig { gpa } => {
                 let c = self.cost.l0_mmio_route;
                 self.clock.charge(c);
-                if let (Some(idx), Some(op)) = (self.device_at(gpa), self.pending_mmio.take()) {
+                if let (Some(idx), Some(op)) = (self.mmio.device_at(gpa), self.pending_mmio.take())
+                {
                     if op.write {
                         let out = self
                             .with_device(idx, |d, mem, now| d.mmio_write(gpa, op.value, mem, now));
@@ -1673,7 +1678,7 @@ impl Machine {
         self.obs.hostprof.shape_fold_str("l0-direct");
         self.obs.hostprof.shape_fold_str(tag);
         self.obs.hostprof.shape_fold_str(r.name());
-        self.clock.count("l2_exit_chain");
+        self.clock.count(SimCounter::L2ExitChain);
         self.obs.metrics.inc(
             MetricKey::new("l0_direct_exit")
                 .level(ObsLevel::L2)
@@ -1730,7 +1735,7 @@ impl Machine {
         self.obs.hostprof.shape_fold_str(tag);
         self.obs.hostprof.shape_fold_str(r.name());
         self.obs.hostprof.shape_fold_str(r.health());
-        self.clock.count("l2_exit_chain");
+        self.clock.count(SimCounter::L2ExitChain);
         self.tracer
             .record(self.clock.now(), TraceEvent::Exit(Level::L2, tag));
         self.obs.metrics.inc(
@@ -1862,7 +1867,7 @@ impl Machine {
             .shape_fold_vmcs(id as u64, f.index(), false);
         let c = self.cost.vmread;
         self.clock.charge(c);
-        self.clock.count("vmread");
+        self.clock.count(SimCounter::Vmread);
         self.vmcs_mut_internal(id).read(f)
     }
 
@@ -1873,7 +1878,7 @@ impl Machine {
             .shape_fold_vmcs(id as u64, f.index(), true);
         let c = self.cost.vmwrite;
         self.clock.charge(c);
-        self.clock.count("vmwrite");
+        self.clock.count(SimCounter::Vmwrite);
         self.vmcs_mut_internal(id).write(f, v);
     }
 
@@ -1904,7 +1909,7 @@ impl Machine {
         self.clock.push_part(CostPart::Transform);
         let c = self.cost.transform_fixed;
         self.clock.charge(c);
-        self.clock.count("transform_fwd");
+        self.clock.count(SimCounter::TransformFwd);
         self.obs
             .metrics
             .inc(MetricKey::new("transform_fwd").level(ObsLevel::L0));
@@ -1929,7 +1934,7 @@ impl Machine {
         self.clock.push_part(CostPart::Transform);
         let c = self.cost.transform_fixed;
         self.clock.charge(c);
-        self.clock.count("transform_bwd");
+        self.clock.count(SimCounter::TransformBwd);
         self.obs
             .metrics
             .inc(MetricKey::new("transform_bwd").level(ObsLevel::L0));
@@ -2062,7 +2067,7 @@ impl Machine {
                 let c = self.cost.l1_mmio_route;
                 self.clock.charge(c);
                 let op = self.pending_mmio.take();
-                if let (Some(idx), Some(op)) = (self.device_at(gpa), op) {
+                if let (Some(idx), Some(op)) = (self.mmio.device_at(gpa), op) {
                     self.l1_device_access(r, idx, op);
                 }
                 self.l1_advance_rip(r);
@@ -2230,10 +2235,10 @@ impl Machine {
         if self.shadowing && f.shadow_readable() {
             let c = self.cost.vmread;
             self.clock.charge(c);
-            self.clock.count("shadow_vmread");
+            self.clock.count(SimCounter::ShadowVmread);
             self.vcpus[self.cur].vmcs12.read(f)
         } else {
-            self.clock.count("l1_vmread_exit");
+            self.clock.count(SimCounter::L1VmreadExit);
             r.l1_exit_roundtrip(self, ExitReason::Vmread { field: f }, 0)
         }
     }
@@ -2244,10 +2249,10 @@ impl Machine {
         if self.shadowing && f.shadow_writable() {
             let c = self.cost.vmwrite;
             self.clock.charge(c);
-            self.clock.count("shadow_vmwrite");
+            self.clock.count(SimCounter::ShadowVmwrite);
             self.vcpus[self.cur].vmcs12.write(f, v);
         } else {
-            self.clock.count("l1_vmwrite_exit");
+            self.clock.count(SimCounter::L1VmwriteExit);
             r.l1_exit_roundtrip(self, ExitReason::Vmwrite { field: f }, v);
         }
     }
@@ -2260,7 +2265,7 @@ impl Machine {
     pub fn l0_handle_l1_exit(&mut self, exit: ExitReason, value: u64) -> u64 {
         let tag = self.arch.tag(exit);
         self.obs.hostprof.shape_fold_str(tag);
-        self.clock.count("l1_exit");
+        self.clock.count(SimCounter::L1Exit);
         self.tracer
             .record(self.clock.now(), TraceEvent::L1Exit(Level::L1, tag));
         self.obs
@@ -2326,13 +2331,6 @@ impl Machine {
                     .set_gauge(MetricKey::new(name).level(ObsLevel::Machine), v as f64);
             }
         }
-    }
-
-    fn device_at(&self, gpa: Gpa) -> Option<usize> {
-        self.devices.iter().position(|d| {
-            d.as_ref()
-                .is_some_and(|d| crate::device::device_claims(d.as_ref(), gpa))
-        })
     }
 
     fn with_device<T>(

@@ -19,7 +19,7 @@ use svt_obs::ObsLevel;
 
 use crate::machine::Machine;
 use crate::state::Level;
-use svt_sim::CostPart;
+use svt_sim::{CostPart, SimCounter};
 
 /// Mechanics of switching between virtualization levels.
 pub trait Reflector: fmt::Debug {
@@ -81,10 +81,10 @@ pub trait Reflector: fmt::Debug {
             if m.shadowing {
                 let c = m.cost.vmread;
                 m.clock.charge(c);
-                m.clock.count("shadow_vmread");
+                m.clock.count(SimCounter::ShadowVmread);
                 m.vmcs12().read(f)
             } else {
-                m.clock.count("l1_vmread_exit");
+                m.clock.count(SimCounter::L1VmreadExit);
                 s.l1_exit_roundtrip(m, ExitReason::Vmread { field: f }, 0)
             }
         };

@@ -80,7 +80,9 @@ impl From<OutOfRange> for RingError {
 /// let ring = CommandRing::new(Hpa(0x1000), 64, 8);
 /// ring.init(&mut ram)?;
 /// ring.push(&mut ram, b"CMD_VM_TRAP")?;
-/// assert_eq!(ring.pop(&mut ram)?, Some(b"CMD_VM_TRAP".to_vec()));
+/// let mut buf = [0u8; 64];
+/// assert_eq!(ring.pop(&mut ram, &mut buf)?, Some(11));
+/// assert_eq!(&buf[..11], b"CMD_VM_TRAP");
 /// # Ok(())
 /// # }
 /// ```
@@ -238,39 +240,48 @@ impl CommandRing {
         Ok(())
     }
 
-    /// Dequeues the oldest command payload, or `None` if the ring is empty.
+    /// Dequeues the oldest command payload into `buf` and returns its
+    /// length, or `None` if the ring is empty. Like `recv(2)`, a payload
+    /// longer than `buf` is truncated to fit and still consumed; the
+    /// returned length exceeds `buf.len()` so the caller can tell.
     ///
     /// # Errors
     ///
     /// Returns an error if the ring's memory is out of range.
-    pub fn pop(&self, ram: &mut GuestMemory) -> Result<Option<Vec<u8>>, RingError> {
-        if self.is_empty(ram)? {
+    pub fn pop(&self, ram: &mut GuestMemory, buf: &mut [u8]) -> Result<Option<usize>, RingError> {
+        let Some((tail, len)) = self.read_oldest(ram, buf)? else {
             return Ok(None);
-        }
-        let tail = self.tail(ram)?;
-        let slot = self.slot_addr(tail);
-        let len = ram.read_u32(slot)? as usize;
-        let mut payload = vec![0u8; len.min(self.max_payload())];
-        ram.read(slot + 4, &mut payload)?;
+        };
         ram.write_u32(self.base + TAIL_OFF, (tail + 1) % self.index_wrap())?;
-        Ok(Some(payload))
+        Ok(Some(len))
     }
 
-    /// Peeks at the oldest command without consuming it.
+    /// Copies the oldest command into `buf` without consuming it; same
+    /// contract as [`CommandRing::pop`].
     ///
     /// # Errors
     ///
     /// Returns an error if the ring's memory is out of range.
-    pub fn peek(&self, ram: &GuestMemory) -> Result<Option<Vec<u8>>, RingError> {
+    pub fn peek(&self, ram: &GuestMemory, buf: &mut [u8]) -> Result<Option<usize>, RingError> {
+        Ok(self.read_oldest(ram, buf)?.map(|(_, len)| len))
+    }
+
+    /// The tail index and payload length of the oldest entry, with as
+    /// much of its payload as fits copied into `buf`.
+    fn read_oldest(
+        &self,
+        ram: &GuestMemory,
+        buf: &mut [u8],
+    ) -> Result<Option<(u32, usize)>, RingError> {
         if self.is_empty(ram)? {
             return Ok(None);
         }
         let tail = self.tail(ram)?;
         let slot = self.slot_addr(tail);
-        let len = ram.read_u32(slot)? as usize;
-        let mut payload = vec![0u8; len.min(self.max_payload())];
-        ram.read(slot + 4, &mut payload)?;
-        Ok(Some(payload))
+        let len = (ram.read_u32(slot)? as usize).min(self.max_payload());
+        let n = len.min(buf.len());
+        ram.read(slot + 4, &mut buf[..n])?;
+        Ok(Some((tail, len)))
     }
 
     /// The cache line the consumer `monitor`s for new work (the head
@@ -309,6 +320,18 @@ impl CommandRing {
 mod tests {
     use super::*;
 
+    /// Pops through the buffer API into a slot-sized buffer and returns
+    /// the payload bytes.
+    fn pop(ring: &CommandRing, ram: &mut GuestMemory) -> Result<Option<Vec<u8>>, RingError> {
+        let mut buf = [0u8; 64];
+        Ok(ring.pop(ram, &mut buf)?.map(|n| buf[..n].to_vec()))
+    }
+
+    fn peek(ring: &CommandRing, ram: &GuestMemory) -> Result<Option<Vec<u8>>, RingError> {
+        let mut buf = [0u8; 64];
+        Ok(ring.peek(ram, &mut buf)?.map(|n| buf[..n].to_vec()))
+    }
+
     fn setup() -> (GuestMemory, CommandRing) {
         let mut ram = GuestMemory::new(1 << 20);
         let ring = CommandRing::new(Hpa(0x2000), 64, 4);
@@ -322,9 +345,9 @@ mod tests {
         ring.push(&mut ram, b"one").unwrap();
         ring.push(&mut ram, b"two").unwrap();
         assert_eq!(ring.len(&ram).unwrap(), 2);
-        assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), b"one");
-        assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), b"two");
-        assert_eq!(ring.pop(&mut ram).unwrap(), None);
+        assert_eq!(pop(&ring, &mut ram).unwrap().unwrap(), b"one");
+        assert_eq!(pop(&ring, &mut ram).unwrap().unwrap(), b"two");
+        assert_eq!(pop(&ring, &mut ram).unwrap(), None);
     }
 
     #[test]
@@ -336,7 +359,7 @@ mod tests {
         assert!(ring.is_full(&ram).unwrap());
         assert_eq!(ring.push(&mut ram, b"x"), Err(RingError::Full));
         // Draining one slot frees space.
-        assert!(ring.pop(&mut ram).unwrap().is_some());
+        assert!(pop(&ring, &mut ram).unwrap().is_some());
         ring.push(&mut ram, b"x").unwrap();
     }
 
@@ -345,7 +368,7 @@ mod tests {
         let (mut ram, ring) = setup();
         for round in 0..100u32 {
             ring.push(&mut ram, &round.to_le_bytes()).unwrap();
-            let got = ring.pop(&mut ram).unwrap().unwrap();
+            let got = pop(&ring, &mut ram).unwrap().unwrap();
             assert_eq!(got, round.to_le_bytes());
         }
         assert!(ring.is_empty(&ram).unwrap());
@@ -367,9 +390,9 @@ mod tests {
     fn peek_does_not_consume() {
         let (mut ram, ring) = setup();
         ring.push(&mut ram, b"cmd").unwrap();
-        assert_eq!(ring.peek(&ram).unwrap().unwrap(), b"cmd");
+        assert_eq!(peek(&ring, &ram).unwrap().unwrap(), b"cmd");
         assert_eq!(ring.len(&ram).unwrap(), 1);
-        assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), b"cmd");
+        assert_eq!(pop(&ring, &mut ram).unwrap().unwrap(), b"cmd");
     }
 
     #[test]
@@ -379,7 +402,7 @@ mod tests {
         // A second CommandRing value describing the same geometry sees the
         // same state: nothing is cached in the struct.
         let alias = CommandRing::new(Hpa(0x2000), 64, 4);
-        assert_eq!(alias.pop(&mut ram).unwrap().unwrap(), b"persisted");
+        assert_eq!(pop(&alias, &mut ram).unwrap().unwrap(), b"persisted");
     }
 
     #[test]
@@ -391,8 +414,8 @@ mod tests {
         b.init(&mut ram).unwrap();
         a.push(&mut ram, b"to-l1").unwrap();
         b.push(&mut ram, b"to-l0").unwrap();
-        assert_eq!(a.pop(&mut ram).unwrap().unwrap(), b"to-l1");
-        assert_eq!(b.pop(&mut ram).unwrap().unwrap(), b"to-l0");
+        assert_eq!(pop(&a, &mut ram).unwrap().unwrap(), b"to-l1");
+        assert_eq!(pop(&b, &mut ram).unwrap().unwrap(), b"to-l0");
     }
 
     #[test]
@@ -402,9 +425,20 @@ mod tests {
         ring.push(&mut ram, b"bbbb").unwrap();
         assert!(ring.corrupt_newest(&mut ram, 1).unwrap());
         // The oldest entry is untouched; the newest has one byte flipped.
-        assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), b"aaaa");
-        let got = ring.pop(&mut ram).unwrap().unwrap();
+        assert_eq!(pop(&ring, &mut ram).unwrap().unwrap(), b"aaaa");
+        let got = pop(&ring, &mut ram).unwrap().unwrap();
         assert_eq!(got, [b'b', b'b' ^ 0xa5, b'b', b'b']);
+    }
+
+    #[test]
+    fn short_buffer_truncates_and_still_consumes() {
+        let (mut ram, ring) = setup();
+        ring.push(&mut ram, b"abcdef").unwrap();
+        let mut buf = [0u8; 4];
+        assert_eq!(ring.peek(&ram, &mut buf).unwrap(), Some(6));
+        assert_eq!(&buf, b"abcd");
+        assert_eq!(ring.pop(&mut ram, &mut buf).unwrap(), Some(6));
+        assert!(ring.is_empty(&ram).unwrap());
     }
 
     #[test]

@@ -3,8 +3,15 @@
 //! Randomised inputs are driven by the in-tree deterministic PRNG so the
 //! cases are reproducible and the suite has no external dependencies.
 
-use svt_mem::{CommandRing, GuestMemory, Hpa};
+use svt_mem::{CommandRing, GuestMemory, Hpa, RingError};
 use svt_sim::DetRng;
+
+/// Pops through the buffer API into a slot-sized buffer and returns the
+/// payload bytes.
+fn pop(ring: &CommandRing, ram: &mut GuestMemory) -> Result<Option<Vec<u8>>, RingError> {
+    let mut buf = [0u8; 64];
+    Ok(ring.pop(ram, &mut buf)?.map(|n| buf[..n].to_vec()))
+}
 
 #[test]
 fn ring_capacity_is_exact() {
@@ -24,7 +31,7 @@ fn ring_capacity_is_exact() {
         assert!(ring.push(&mut ram, b"x").is_err());
         // Draining restores capacity in FIFO order.
         for i in 0..slots {
-            let p = ring.pop(&mut ram).unwrap().unwrap();
+            let p = pop(&ring, &mut ram).unwrap().unwrap();
             assert_eq!(p, vec![i as u8; payload_len]);
         }
         assert!(ring.is_empty(&ram).unwrap());
@@ -56,7 +63,7 @@ fn wraparound_preserves_fifo_and_full_is_typed() {
                 if model.len() == slots as usize {
                     assert_eq!(
                         res,
-                        Err(svt_mem::RingError::Full),
+                        Err(RingError::Full),
                         "case {case} op {op}: full ring must reject, not overwrite"
                     );
                 } else {
@@ -65,7 +72,7 @@ fn wraparound_preserves_fifo_and_full_is_typed() {
                 }
             } else {
                 assert_eq!(
-                    ring.pop(&mut ram).unwrap(),
+                    pop(&ring, &mut ram).unwrap(),
                     model.pop_front(),
                     "case {case} op {op}: FIFO order broken across wraparound"
                 );
@@ -75,7 +82,7 @@ fn wraparound_preserves_fifo_and_full_is_typed() {
         }
         // Drain: everything queued comes back, in order.
         while let Some(want) = model.pop_front() {
-            assert_eq!(ring.pop(&mut ram).unwrap().unwrap(), want);
+            assert_eq!(pop(&ring, &mut ram).unwrap().unwrap(), want);
         }
         assert!(ring.is_empty(&ram).unwrap());
     }
@@ -108,10 +115,10 @@ fn rings_with_disjoint_footprints_never_interfere() {
                 q.push_back(payload.clone());
             }
         }
-        while let Some(p) = a.pop(&mut ram).unwrap() {
+        while let Some(p) = pop(&a, &mut ram).unwrap() {
             assert_eq!(Some(p), qa.pop_front());
         }
-        while let Some(p) = b.pop(&mut ram).unwrap() {
+        while let Some(p) = pop(&b, &mut ram).unwrap() {
             assert_eq!(Some(p), qb.pop_front());
         }
         assert!(qa.is_empty() && qb.is_empty());

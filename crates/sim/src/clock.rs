@@ -4,11 +4,12 @@
 //! time and is attributed to the current [`CostPart`] — the same six-part
 //! decomposition the paper uses in Table 1 — plus an optional free-form
 //! tag (used for the per-exit-reason profiling claims in § 6.2/6.3).
+//! [`Clock::count`] bumps a typed [`SimCounter`]. All three are dense
+//! arrays, so the per-trap bookkeeping neither hashes nor allocates.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::hash::FnvHashMap;
 use crate::time::{SimDuration, SimTime};
 
 /// Attribution bucket matching Table 1 of the paper, plus buckets for the
@@ -115,8 +116,156 @@ impl fmt::Display for CostPart {
     }
 }
 
+macro_rules! sim_counters {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// A named event counter kept by the [`Clock`] (VMCS accesses,
+        /// reflected exits, SW-SVt protocol events, IPIs, …).
+        ///
+        /// Counters are a closed set so the clock can keep them in a dense
+        /// array: [`Clock::count`] is one indexed add, no hashing. Variants
+        /// are declared in name order, so iterating [`SimCounter::ALL`]
+        /// yields counters sorted by name (checked at compile time).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        pub enum SimCounter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl SimCounter {
+            /// Every counter, in declaration (= name) order.
+            pub const ALL: [SimCounter; SimCounter::COUNT] = [$(SimCounter::$variant,)*];
+
+            /// Number of counters (the size of the dense counter array).
+            pub const COUNT: usize = [$($name,)*].len();
+
+            /// The counter's stable snake_case name, as reported by
+            /// [`Clock::counters`] and written into snapshots.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $(SimCounter::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+sim_counters! {
+    /// Context-block loads by HW SVt / the bypass engine.
+    Ctxtld => "ctxtld",
+    /// Context-block stores by HW SVt / the bypass engine.
+    Ctxtst => "ctxtst",
+    /// IPIs whose ICR value did not decode.
+    IpiBadIcr => "ipi_bad_icr",
+    /// IPIs lost to an injected fault.
+    IpiDropped => "ipi_dropped",
+    /// Duplicate IPI deliveries absorbed by the receiver.
+    IpiDuplicatesAbsorbed => "ipi_duplicates_absorbed",
+    /// IPIs delivered to a vCPU.
+    IpiReceived => "ipi_received",
+    /// IPIs resent after a loss.
+    IpiRetransmits => "ipi_retransmits",
+    /// IPIs sent.
+    IpiSent => "ipi_sent",
+    /// Virtual interrupts delivered to the guest program.
+    IrqDelivered => "irq_delivered",
+    /// Exit rounds of a single-level guest (guest → L0 → guest).
+    L1DirectExit => "l1_direct_exit",
+    /// L1→L0 exits.
+    L1Exit => "l1_exit",
+    /// IPIs delivered straight to L1.
+    L1IpiDirect => "l1_ipi_direct",
+    /// L1 VMREADs that trapped into L0.
+    L1VmreadExit => "l1_vmread_exit",
+    /// L1 VMWRITEs that trapped into L0.
+    L1VmwriteExit => "l1_vmwrite_exit",
+    /// L2 exits taken on a nested machine.
+    L2ExitChain => "l2_exit_chain",
+    /// L1 VMREADs served by VMCS shadowing.
+    ShadowVmread => "shadow_vmread",
+    /// L1 VMWRITEs served by VMCS shadowing.
+    ShadowVmwrite => "shadow_vmwrite",
+    /// SW-SVt traps that blocked on the sibling.
+    SvtBlocked => "svt_blocked",
+    /// SW-SVt commands corrupted in the ring.
+    SvtCmdsCorrupted => "svt_cmds_corrupted",
+    /// SW-SVt commands duplicated in the ring.
+    SvtCmdsDuplicated => "svt_cmds_duplicated",
+    /// SW-SVt commands lost before reaching the ring.
+    SvtCmdsLost => "svt_cmds_lost",
+    /// Stale or duplicate SW-SVt commands dropped by a receiver.
+    SvtDuplicatesDropped => "svt_duplicates_dropped",
+    /// SW-SVt ring pairing hypercalls.
+    SvtPairingHypercall => "svt_pairing_hypercall",
+    /// SW-SVt legs failed by a protocol error.
+    SvtProtocolErrors => "svt_protocol_errors",
+    /// SW-SVt resumes that fell back to the trap path.
+    SvtResumeFallback => "svt_resume_fallback",
+    /// SW-SVt command retransmissions.
+    SvtRetransmits => "svt_retransmits",
+    /// SW-SVt pushes that met a full ring.
+    SvtRingFull => "svt_ring_full",
+    /// SW-SVt traps delayed by a busy sibling.
+    SvtSiblingDelays => "svt_sibling_delays",
+    /// SW-SVt premature doorbell wake-ups.
+    SvtSpuriousWakeups => "svt_spurious_wakeups",
+    /// Stale SW-SVt ring entries discarded to make room.
+    SvtStaleDiscarded => "svt_stale_discarded",
+    /// SW-SVt degradation state transitions.
+    SvtStateTransition => "svt_state_transition",
+    /// SW-SVt waits that timed out.
+    SvtTimeouts => "svt_timeouts",
+    /// SW-SVt traps that fell back to the baseline path.
+    SvtTrapFallback => "svt_trap_fallback",
+    /// SW-SVt traps handled over the ring.
+    SvtTrapRing => "svt_trap_ring",
+    /// Backward transforms, vmcs12 → vmcs02 (Algorithm 1 line 14).
+    TransformBwd => "transform_bwd",
+    /// Forward transforms, vmcs02 → vmcs12 (Algorithm 1 line 3).
+    TransformFwd => "transform_fwd",
+    /// Charged `vmread`s (`Machine::vm_read`).
+    Vmread => "vmread",
+    /// Charged `vmwrite`s (`Machine::vm_write`).
+    Vmwrite => "vmwrite",
+}
+
+// Dense indexing needs ALL[i] at discriminant i; sorted output needs
+// the names in strictly ascending byte order.
+const _: () = {
+    const fn name_lt(a: &str, b: &str) -> bool {
+        let (a, b) = (a.as_bytes(), b.as_bytes());
+        let mut i = 0;
+        while i < a.len() && i < b.len() {
+            if a[i] != b[i] {
+                return a[i] < b[i];
+            }
+            i += 1;
+        }
+        a.len() < b.len()
+    }
+    let mut i = 0;
+    while i < SimCounter::COUNT {
+        assert!(SimCounter::ALL[i] as usize == i);
+        if i > 0 {
+            assert!(name_lt(
+                SimCounter::ALL[i - 1].name(),
+                SimCounter::ALL[i].name()
+            ));
+        }
+        i += 1;
+    }
+};
+
+impl SimCounter {
+    /// The counter called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<SimCounter> {
+        SimCounter::ALL
+            .binary_search_by(|c| c.name().cmp(name))
+            .ok()
+            .map(|i| SimCounter::ALL[i])
+    }
+}
+
 /// The simulation clock: current instant, per-part time attribution,
-/// per-tag time attribution and named event counters.
+/// per-tag time attribution and typed event counters.
 ///
 /// # Examples
 ///
@@ -129,7 +278,7 @@ impl fmt::Display for CostPart {
 /// clock.pop_part(CostPart::L0Handler);
 /// assert_eq!(clock.part_time(CostPart::L0Handler), SimDuration::from_ns(150));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Clock {
     now: SimTime,
     part_stack: Vec<CostPart>,
@@ -137,9 +286,29 @@ pub struct Clock {
     // the hottest function in the simulator (every primitive cost passes
     // through it), so attribution must not pay a map lookup per call.
     part_time: [SimDuration; CostPart::COUNT],
-    tag_stack: Vec<&'static str>,
-    tag_time: FnvHashMap<&'static str, SimDuration>,
-    counters: FnvHashMap<&'static str, u64>,
+    // Tags are dense too: `push_tag` resolves a tag to its index in
+    // `tag_names` (once per trap), the stack holds indices, and `charge`
+    // adds into `tag_time[id]`. `None` marks a known tag not charged
+    // since the last reset; a tag charged zero time is `Some(ZERO)` and
+    // is reported.
+    tag_stack: Vec<usize>,
+    tag_names: Vec<&'static str>,
+    tag_time: Vec<Option<SimDuration>>,
+    counters: [u64; SimCounter::COUNT],
+}
+
+impl Default for Clock {
+    fn default() -> Self {
+        Clock {
+            now: SimTime::default(),
+            part_stack: Vec::new(),
+            part_time: [SimDuration::ZERO; CostPart::COUNT],
+            tag_stack: Vec::new(),
+            tag_names: Vec::new(),
+            tag_time: Vec::new(),
+            counters: [0; SimCounter::COUNT],
+        }
+    }
 }
 
 impl Clock {
@@ -160,8 +329,8 @@ impl Clock {
         self.now += d;
         let part = self.part_stack.last().copied().unwrap_or(CostPart::Other);
         self.part_time[part.index()] += d;
-        if let Some(tag) = self.tag_stack.last() {
-            *self.tag_time.entry(tag).or_default() += d;
+        if let Some(&id) = self.tag_stack.last() {
+            *self.tag_time[id].get_or_insert(SimDuration::ZERO) += d;
         }
     }
 
@@ -203,7 +372,8 @@ impl Clock {
 
     /// Enters a free-form attribution tag (e.g. an exit-reason name).
     pub fn push_tag(&mut self, tag: &'static str) {
-        self.tag_stack.push(tag);
+        let id = self.tag_id(tag);
+        self.tag_stack.push(id);
     }
 
     /// Leaves a free-form attribution tag.
@@ -212,8 +382,22 @@ impl Clock {
     ///
     /// Panics if `tag` is not the innermost entered tag.
     pub fn pop_tag(&mut self, tag: &'static str) {
-        let top = self.tag_stack.pop();
+        let top = self.tag_stack.pop().map(|id| self.tag_names[id]);
         assert_eq!(top, Some(tag), "mismatched tag pop");
+    }
+
+    /// The dense slot of `tag`, added on first sight. The tag universe is
+    /// the small fixed set of exit-reason names, so a scan beats hashing.
+    fn tag_id(&mut self, tag: &'static str) -> usize {
+        self.find_tag(tag).unwrap_or_else(|| {
+            self.tag_names.push(tag);
+            self.tag_time.push(None);
+            self.tag_names.len() - 1
+        })
+    }
+
+    fn find_tag(&self, tag: &str) -> Option<usize> {
+        self.tag_names.iter().position(|&t| t == tag)
     }
 
     /// Total time attributed to `part` so far.
@@ -224,12 +408,29 @@ impl Clock {
 
     /// Total time attributed to `tag` so far.
     pub fn tag_time(&self, tag: &str) -> SimDuration {
-        self.tag_time.get(tag).copied().unwrap_or_default()
+        self.find_tag(tag)
+            .and_then(|id| self.tag_time[id])
+            .unwrap_or_default()
+    }
+
+    /// Every tag charged since the last reset, in no particular order.
+    fn charged_tags(&self) -> impl Iterator<Item = (&'static str, SimDuration)> + '_ {
+        self.tag_names
+            .iter()
+            .zip(&self.tag_time)
+            .filter_map(|(&name, t)| t.map(|t| (name, t)))
+    }
+
+    /// Every charged tag, sorted by name (the serialized order).
+    fn tags_by_name(&self) -> Vec<(&'static str, SimDuration)> {
+        let mut v: Vec<_> = self.charged_tags().collect();
+        v.sort_by_key(|(k, _)| *k);
+        v
     }
 
     /// All tags with attributed time, sorted by descending time.
     pub fn tags_by_time(&self) -> Vec<(&'static str, SimDuration)> {
-        let mut v: Vec<_> = self.tag_time.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut v: Vec<_> = self.charged_tags().collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         v
     }
@@ -246,41 +447,42 @@ impl Clock {
         v
     }
 
-    /// Increments a named counter (e.g. `"vm_exit"`).
+    /// Increments a counter.
     #[inline]
-    pub fn count(&mut self, name: &'static str) {
-        self.count_by(name, 1);
+    pub fn count(&mut self, counter: SimCounter) {
+        self.counters[counter as usize] += 1;
     }
 
-    /// Adds `n` to a named counter.
-    #[inline]
-    pub fn count_by(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_default() += n;
-    }
-
-    /// Current value of a named counter.
+    /// Current value of the counter called `name` (0 for unknown names).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        SimCounter::from_name(name).map_or(0, |c| self.counters[c as usize])
+    }
+
+    /// Every counted counter with its value, in name order.
+    fn counted(&self) -> impl Iterator<Item = (SimCounter, u64)> + '_ {
+        SimCounter::ALL
+            .iter()
+            .map(|&c| (c, self.counters[c as usize]))
+            .filter(|&(_, v)| v != 0)
     }
 
     /// Snapshot of all counters, sorted by name.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut v: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_by_key(|(k, _)| *k);
-        v
+        self.counted().map(|(c, v)| (c.name(), v)).collect()
     }
 
     /// Resets attribution and counters but keeps the current instant
     /// (used to discard warm-up iterations).
     pub fn reset_attribution(&mut self) {
         self.part_time = [SimDuration::ZERO; CostPart::COUNT];
-        self.tag_time.clear();
-        self.counters.clear();
+        self.tag_time.fill(None);
+        self.counters = [0; SimCounter::COUNT];
     }
 
     /// Serializes the full clock state (instant, stacks, attribution,
-    /// counters) for [`crate::snapshot`]. Maps are written in sorted key
-    /// order so identical clocks serialize to identical bytes.
+    /// counters) for [`crate::snapshot`]. Tags and counters are written
+    /// by name in sorted order so identical clocks serialize to identical
+    /// bytes.
     pub fn snap_save(&self, w: &mut crate::snapshot::SnapWriter) {
         w.u64(self.now.as_ps());
         w.usize(self.part_stack.len());
@@ -291,32 +493,29 @@ impl Clock {
             w.u64(d.as_ps());
         }
         w.usize(self.tag_stack.len());
-        for t in &self.tag_stack {
-            w.str(t);
+        for &id in &self.tag_stack {
+            w.str(self.tag_names[id]);
         }
-        let mut tags: Vec<_> = self.tag_time.iter().map(|(k, v)| (*k, *v)).collect();
-        tags.sort_by_key(|(k, _)| *k);
+        let tags = self.tags_by_name();
         w.usize(tags.len());
         for (k, v) in tags {
             w.str(k);
             w.u64(v.as_ps());
         }
-        let mut counters: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
-        counters.sort_by_key(|(k, _)| *k);
-        w.usize(counters.len());
-        for (k, v) in counters {
-            w.str(k);
+        w.usize(self.counted().count());
+        for (c, v) in self.counted() {
+            w.str(c.name());
             w.u64(v);
         }
     }
 
-    /// Restores state written by [`Clock::snap_save`]. Tag and counter
-    /// names come back as interned `&'static str`s.
+    /// Restores state written by [`Clock::snap_save`]. Tag names come
+    /// back as interned `&'static str`s.
     ///
     /// # Errors
     ///
-    /// Typed [`crate::snapshot::SnapError`] on truncation or an
-    /// out-of-range part index.
+    /// Typed [`crate::snapshot::SnapError`] on truncation, an
+    /// out-of-range part index or an unknown counter name.
     pub fn snap_load(
         &mut self,
         r: &mut crate::snapshot::SnapReader<'_>,
@@ -339,21 +538,24 @@ impl Clock {
         let n = r.usize()?;
         self.tag_stack.clear();
         for _ in 0..n {
-            self.tag_stack.push(intern_static(r.str()?));
+            let id = self.tag_id(intern_static(r.str()?));
+            self.tag_stack.push(id);
         }
         let n = r.usize()?;
-        self.tag_time.clear();
+        self.tag_time.fill(None);
         for _ in 0..n {
-            let k = intern_static(r.str()?);
-            let v = SimDuration::from_ps(r.u64()?);
-            self.tag_time.insert(k, v);
+            let id = self.tag_id(intern_static(r.str()?));
+            self.tag_time[id] = Some(SimDuration::from_ps(r.u64()?));
         }
         let n = r.usize()?;
-        self.counters.clear();
+        self.counters = [0; SimCounter::COUNT];
         for _ in 0..n {
-            let k = intern_static(r.str()?);
-            let v = r.u64()?;
-            self.counters.insert(k, v);
+            let name = r.str()?;
+            let c = SimCounter::from_name(name).ok_or_else(|| SnapError::UnknownName {
+                what: "clock counter",
+                name: name.to_owned(),
+            })?;
+            self.counters[c as usize] = r.u64()?;
         }
         Ok(())
     }
@@ -366,24 +568,21 @@ impl Clock {
         for d in &self.part_time {
             fp.fold(d.as_ps());
         }
-        let mut tags: Vec<_> = self.tag_time.iter().map(|(k, v)| (*k, *v)).collect();
-        tags.sort_by_key(|(k, _)| *k);
-        for (k, v) in tags {
+        for (k, v) in self.tags_by_name() {
             fp.fold_bytes(k.as_bytes());
             fp.fold(v.as_ps());
         }
-        let mut counters: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
-        counters.sort_by_key(|(k, _)| *k);
-        for (k, v) in counters {
-            fp.fold_bytes(k.as_bytes());
+        for (c, v) in self.counted() {
+            fp.fold_bytes(c.name().as_bytes());
             fp.fold(v);
         }
     }
 
     /// Takes a snapshot of the attribution state for later differencing.
     ///
-    /// The snapshot keeps the public `HashMap` shape (the dense array is
-    /// an internal representation); only parts with non-zero time appear.
+    /// The snapshot keeps the public `HashMap` shape (the dense arrays
+    /// are an internal representation); only parts with non-zero time
+    /// appear.
     pub fn snapshot(&self) -> ClockSnapshot {
         ClockSnapshot {
             now: self.now,
@@ -392,12 +591,14 @@ impl Clock {
                 .map(|&p| (p, self.part_time[p.index()]))
                 .filter(|(_, d)| !d.is_zero())
                 .collect(),
-            tag_time: self.tag_time.iter().map(|(k, v)| (*k, *v)).collect(),
-            counters: self.counters.iter().map(|(k, v)| (*k, *v)).collect(),
+            tag_time: self.charged_tags().collect(),
+            counters: self.counters().into_iter().collect(),
         }
     }
 
-    /// Attribution accumulated since `base` was snapshot.
+    /// Attribution accumulated since `base` was snapshot. Every bucket
+    /// saturates at zero, so a [`Clock::reset_attribution`] between the
+    /// snapshot and the diff yields empty buckets rather than wrapping.
     pub fn since_snapshot(&self, base: &ClockSnapshot) -> ClockSnapshot {
         ClockSnapshot {
             now: self.now,
@@ -410,18 +611,13 @@ impl Clock {
                 .filter(|(_, v)| !v.is_zero())
                 .collect(),
             tag_time: self
-                .tag_time
-                .iter()
-                .map(|(k, v)| {
-                    let prev = base.tag_time.get(k).copied().unwrap_or_default();
-                    (*k, v.saturating_sub(prev))
-                })
+                .charged_tags()
+                .map(|(k, v)| (k, v.saturating_sub(base.tag_time(k))))
                 .filter(|(_, v)| !v.is_zero())
                 .collect(),
             counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| (*k, v - base.counters.get(k).copied().unwrap_or(0)))
+                .counted()
+                .map(|(c, v)| (c.name(), v.saturating_sub(base.counter(c.name()))))
                 .filter(|(_, v)| *v != 0)
                 .collect(),
         }
@@ -558,12 +754,57 @@ mod tests {
     #[test]
     fn counters_count() {
         let mut c = Clock::new();
-        c.count("vm_exit");
-        c.count("vm_exit");
-        c.count_by("vmread", 5);
-        assert_eq!(c.counter("vm_exit"), 2);
+        c.count(SimCounter::L1Exit);
+        c.count(SimCounter::L1Exit);
+        for _ in 0..5 {
+            c.count(SimCounter::Vmread);
+        }
+        assert_eq!(c.counter("l1_exit"), 2);
         assert_eq!(c.counter("vmread"), 5);
         assert_eq!(c.counter("missing"), 0);
+        assert_eq!(c.counters(), vec![("l1_exit", 2), ("vmread", 5)]);
+    }
+
+    #[test]
+    fn counter_names_round_trip() {
+        for c in SimCounter::ALL {
+            assert_eq!(SimCounter::from_name(c.name()), Some(c));
+        }
+        assert_eq!(SimCounter::from_name("vm_exit"), None);
+    }
+
+    #[test]
+    fn zero_charge_still_reports_the_tag() {
+        let mut c = Clock::new();
+        c.push_tag("HLT");
+        c.charge(SimDuration::ZERO);
+        c.pop_tag("HLT");
+        c.push_tag("PAUSE");
+        c.pop_tag("PAUSE");
+        assert_eq!(c.tags_by_time(), vec![("HLT", SimDuration::ZERO)]);
+    }
+
+    #[test]
+    fn unknown_counter_name_is_a_typed_snapshot_error() {
+        use crate::snapshot::{SnapError, SnapReader, SnapWriter};
+        let mut w = SnapWriter::new();
+        Clock::new().snap_save(&mut w);
+        let mut bytes = w.into_vec();
+        // Replace the empty counter list with one unknown name.
+        bytes.truncate(bytes.len() - 8);
+        let mut tail = SnapWriter::new();
+        tail.usize(1);
+        tail.str("vm_exit");
+        tail.u64(1);
+        bytes.extend(tail.into_vec());
+        let err = Clock::new().snap_load(&mut SnapReader::new(&bytes));
+        assert_eq!(
+            err,
+            Err(SnapError::UnknownName {
+                what: "clock counter",
+                name: "vm_exit".into()
+            })
+        );
     }
 
     #[test]
@@ -573,12 +814,33 @@ mod tests {
         c.charge(SimDuration::from_ns(10));
         let snap = c.snapshot();
         c.charge(SimDuration::from_ns(15));
-        c.count("vm_exit");
+        c.count(SimCounter::L1Exit);
         c.pop_part(CostPart::L2Guest);
         let d = c.since_snapshot(&snap);
         assert_eq!(d.part_time(CostPart::L2Guest), SimDuration::from_ns(15));
-        assert_eq!(d.counter("vm_exit"), 1);
+        assert_eq!(d.counter("l1_exit"), 1);
         assert_eq!(d.busy_time(), SimDuration::from_ns(15));
+    }
+
+    #[test]
+    fn since_snapshot_saturates_across_a_reset() {
+        let mut c = Clock::new();
+        c.push_tag("CPUID");
+        c.charge(SimDuration::from_ns(40));
+        for _ in 0..3 {
+            c.count(SimCounter::L1Exit);
+        }
+        let base = c.snapshot();
+        c.reset_attribution();
+        c.charge(SimDuration::from_ns(10));
+        c.count(SimCounter::L1Exit);
+        c.count(SimCounter::Vmread);
+        c.pop_tag("CPUID");
+        let d = c.since_snapshot(&base);
+        assert_eq!(d.counter("l1_exit"), 0);
+        assert_eq!(d.counter("vmread"), 1);
+        assert_eq!(d.tag_time("CPUID"), SimDuration::ZERO);
+        assert_eq!(d.part_time(CostPart::Other), SimDuration::ZERO);
     }
 
     #[test]
@@ -596,10 +858,10 @@ mod tests {
     fn reset_attribution_keeps_time() {
         let mut c = Clock::new();
         c.charge(SimDuration::from_ns(42));
-        c.count("x");
+        c.count(SimCounter::Ctxtld);
         c.reset_attribution();
         assert_eq!(c.now(), SimTime::from_ns(42));
-        assert_eq!(c.counter("x"), 0);
+        assert_eq!(c.counter("ctxtld"), 0);
         assert_eq!(c.part_time(CostPart::Other), SimDuration::ZERO);
     }
 }

@@ -44,7 +44,7 @@ mod sweep;
 mod time;
 mod topology;
 
-pub use clock::{Clock, ClockSnapshot, CostPart};
+pub use clock::{Clock, ClockSnapshot, CostPart, SimCounter};
 pub use cost::CostModel;
 pub use events::{EventId, EventQueue};
 pub use faults::{FaultKind, FaultPlan};

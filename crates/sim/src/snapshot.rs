@@ -118,6 +118,14 @@ pub enum SnapError {
         /// Value of the live machine.
         live: u64,
     },
+    /// A name (e.g. a clock counter) outside the closed set this build
+    /// knows.
+    UnknownName {
+        /// What the name was decoded as.
+        what: &'static str,
+        /// The offending name.
+        name: String,
+    },
     /// A length-prefixed string was not valid UTF-8.
     BadUtf8,
     /// Bytes remained after the decoder consumed everything it expected.
@@ -162,6 +170,9 @@ impl fmt::Display for SnapError {
                 f,
                 "snapshot shape mismatch on {what}: snapshot has {snapshot}, live machine {live}"
             ),
+            SnapError::UnknownName { what, name } => {
+                write!(f, "unknown {what} name {name:?} in snapshot")
+            }
             SnapError::BadUtf8 => write!(f, "snapshot string is not valid UTF-8"),
             SnapError::TrailingBytes { count } => {
                 write!(f, "{count} unconsumed bytes after snapshot payload")

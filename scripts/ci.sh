@@ -383,6 +383,19 @@ if share > 0.50:
 else:
     print(f"ok   largest part {worst['part']} holds {100*share:.1f}% of wall time")
 
+# The SW SVt ring protocol is allocation-free: commands encode into fixed
+# arrays, pops read into caller buffers and pairing maps the ring pages
+# up front. One allocation here is a hot-path regression.
+ring = next((p for p in hp["parts"] if p["part"] == "ring_protocol"), None)
+if ring is None or ring["wall_ns"] <= 0:
+    print("FAIL: no ring_protocol row: the sweep ran no SW SVt traps")
+    ok = False
+elif ring["allocs"] != 0:
+    print(f"FAIL: ring_protocol made {ring['allocs']} allocations (must be 0)")
+    ok = False
+else:
+    print("ok   ring_protocol made 0 allocations")
+
 # The trap-shape census must be non-degenerate and show the steady-state
 # repetition the memoization roadmap item is sized from.
 if hp["events"] <= 0 or hp["distinct_shapes"] <= 0:

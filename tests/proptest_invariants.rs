@@ -48,19 +48,20 @@ fn command_ring_is_fifo() {
         let mut ram = GuestMemory::new(1 << 20);
         let ring = CommandRing::new(Hpa(0x4000), 64, 8);
         ring.init(&mut ram).unwrap();
+        let mut buf = [0u8; 64];
         let mut pushed = 0u32;
         let mut popped = 0u32;
         for &push in &ops {
             if push && !ring.is_full(&ram).unwrap() {
                 ring.push(&mut ram, &pushed.to_le_bytes()).unwrap();
                 pushed += 1;
-            } else if let Some(payload) = ring.pop(&mut ram).unwrap() {
-                assert_eq!(payload, popped.to_le_bytes().to_vec());
+            } else if let Some(n) = ring.pop(&mut ram, &mut buf).unwrap() {
+                assert_eq!(&buf[..n], popped.to_le_bytes());
                 popped += 1;
             }
         }
-        while let Some(payload) = ring.pop(&mut ram).unwrap() {
-            assert_eq!(payload, popped.to_le_bytes().to_vec());
+        while let Some(n) = ring.pop(&mut ram, &mut buf).unwrap() {
+            assert_eq!(&buf[..n], popped.to_le_bytes());
             popped += 1;
         }
         assert_eq!(pushed, popped);
