@@ -1,7 +1,16 @@
 //! Bench for Fig. 8: one memcached sweep point per engine.
 
 use svt_core::SwitchMode;
-use svt_workloads::memcached_point;
+use svt_workloads::{run, RunSpec, Serve, SmpPoint};
+
+fn memcached_point(mode: SwitchMode, rate_qps: f64, requests: u64) -> SmpPoint {
+    run(
+        &RunSpec::new(Serve::Memcached { rate_qps, requests }, mode),
+        (),
+    )
+    .0
+    .point
+}
 
 fn main() {
     for mode in [SwitchMode::Baseline, SwitchMode::SwSvt] {

@@ -1,7 +1,12 @@
 //! Bench for Fig. 9: TPC-C throughput per engine.
 
 use svt_core::SwitchMode;
-use svt_workloads::tpcc_tpm;
+use svt_workloads::{run, RunSpec, Serve};
+
+fn tpcc_tpm(mode: SwitchMode, transactions: u64) -> f64 {
+    let spec = RunSpec::new(Serve::Tpcc { transactions }, mode);
+    run(&spec, ()).0.tpm().expect("TPC-C reports tpm")
+}
 
 fn main() {
     let b0 = tpcc_tpm(SwitchMode::Baseline, 60);

@@ -20,12 +20,12 @@
 //! cell never degrades).
 
 use svt_bench::{
-    faults_campaign_ckpt, faults_report, guard, hostprof_begin, hostprof_finish, print_header,
-    rule, BenchCli, FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, SERVE_RATE_QPS,
+    faults_campaign, faults_report, guard, hostprof_begin, hostprof_finish, print_header, rule,
+    BenchCli, FAULTS_DEFAULT_SEED, FAULTS_MODES, FAULTS_N_VCPUS, SERVE_RATE_QPS,
 };
 use svt_core::SwitchMode;
 use svt_sim::FaultPlan;
-use svt_workloads::{memcached_telemetry, TelemetryOpts};
+use svt_workloads::{run, RunSpec, Serve, TelemetryOpts};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -54,7 +54,7 @@ fn main() {
     rule();
 
     let ckpt = cli.checkpoint("faults", seed);
-    let cells = faults_campaign_ckpt(
+    let cells = faults_campaign(
         &FAULTS_MODES,
         rates,
         requests,
@@ -81,7 +81,7 @@ fn main() {
     }
     if cli.timeline.is_some() || cli.dump.is_some() || cli.dump_on_exit() {
         let rate = rates.last().copied().unwrap_or(0.0);
-        let plan = if rate > 0.0 {
+        let faults = if rate > 0.0 {
             FaultPlan::uniform(seed, rate)
         } else {
             FaultPlan::none()
@@ -90,14 +90,18 @@ fn main() {
             dump_on_exit: cli.dump_on_exit(),
             ..TelemetryOpts::default()
         };
-        let p = memcached_telemetry(
-            SwitchMode::SwSvt,
-            FAULTS_N_VCPUS,
-            SERVE_RATE_QPS,
-            requests,
-            plan,
-            &opts,
-        );
+        let spec = RunSpec {
+            n_vcpus: FAULTS_N_VCPUS,
+            faults,
+            ..RunSpec::new(
+                Serve::Memcached {
+                    rate_qps: SERVE_RATE_QPS,
+                    requests,
+                },
+                SwitchMode::SwSvt,
+            )
+        };
+        let p = run(&spec, opts).1;
         println!(
             "telemetry cell: SW SVt @ rate {rate:.2}: {} windows, {} flight trip(s)",
             p.windows, p.flight_trips

@@ -12,8 +12,8 @@
 
 use svt_arch::ArchId;
 use svt_bench::{
-    fig6_report, guard, hostprof_begin, hostprof_finish, print_header, riscv_grid_ckpt,
-    riscv_report, rule, BenchCli,
+    fig6_report, guard, hostprof_begin, hostprof_finish, print_header, riscv_grid, riscv_report,
+    rule, BenchCli,
 };
 
 fn main() {
@@ -66,7 +66,7 @@ fn riscv_main(cli: &BenchCli) {
     print_header("Fig. 6 (riscv) - trap-and-emulate latency on the H-extension backend");
     let seed = cli.seed_or(svt_workloads::DEFAULT_LANE_SEED);
     let ckpt = cli.checkpoint("fig6", seed);
-    let grid = riscv_grid_ckpt(
+    let grid = riscv_grid(
         200,
         60,
         seed,

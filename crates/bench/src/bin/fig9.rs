@@ -7,6 +7,7 @@ use svt_bench::{
 use svt_core::SwitchMode;
 use svt_obs::{Json, RunReport, SpeedupRow};
 use svt_sim::CostModel;
+use svt_workloads::{run, RunSpec, Serve};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -17,8 +18,15 @@ fn main() {
     let seed = cli.seed_or(svt_workloads::DEFAULT_LANE_SEED);
     let txns = if quick { 60 } else { 300 };
     print_header("Fig. 9 - TPC-C (sysbench-style, WAL on virtio-blk) throughput");
-    let baseline = svt_workloads::tpcc_tpm_seeded(SwitchMode::Baseline, txns, seed);
-    let svt = svt_workloads::tpcc_tpm_seeded(SwitchMode::SwSvt, txns, seed);
+    let tpm = |mode| {
+        let spec = RunSpec {
+            seed,
+            ..RunSpec::new(Serve::Tpcc { transactions: txns }, mode)
+        };
+        run(&spec, ()).0.tpm().expect("TPC-C reports tpm")
+    };
+    let baseline = tpm(SwitchMode::Baseline);
+    let svt = tpm(SwitchMode::SwSvt);
     println!("{:<12}{:>40}", "System", "Throughput [tpm]");
     rule();
     println!("{:<12}{:>40}", "Baseline", vs_paper(baseline, 6370.0));

@@ -27,8 +27,7 @@ use svt_core::SwitchMode;
 use svt_obs::{fold_paths, CriticalPathRow, Json, ObsLevel, RunReport};
 use svt_sim::CostModel;
 use svt_workloads::{
-    memcached_smp_profiled_seeded, tpcc_smp_profiled_seeded, CausalProfile, SmpPoint,
-    DEFAULT_LANE_SEED,
+    run, CausalProfile, ProfileProbe, RunSpec, Serve, SmpPoint, DEFAULT_LANE_SEED,
 };
 
 /// Phases billed to the exit/resume rollup: the L2<->L0 hardware switch
@@ -194,10 +193,22 @@ fn main() {
         } else {
             SwitchMode::SwSvt
         };
-        match grid[i / 2] {
-            "memcached" => memcached_smp_profiled_seeded(mode, n_vcpus, 2_000.0, mc_requests, seed),
-            _ => tpcc_smp_profiled_seeded(mode, n_vcpus, tpcc_tx, seed),
-        }
+        let serve = match grid[i / 2] {
+            "memcached" => Serve::Memcached {
+                rate_qps: 2_000.0,
+                requests: mc_requests,
+            },
+            _ => Serve::Tpcc {
+                transactions: tpcc_tx,
+            },
+        };
+        let spec = RunSpec {
+            n_vcpus,
+            seed,
+            ..RunSpec::new(serve, mode)
+        };
+        let (out, prof) = run(&spec, ProfileProbe);
+        (out.point, prof)
     });
     let mut runs: Vec<(&str, ConfigRun, ConfigRun)> = Vec::new();
     for (name, pair) in grid.iter().zip(cells.chunks(2)) {

@@ -9,20 +9,19 @@
 //! The `mode × vCPUs` grid fans across `--jobs` sweep workers and merges
 //! in grid order: output is byte-identical at any worker count.
 //!
-//! Telemetry flags re-run the largest SW-SVt cell with the windowed
-//! sampler and flight recorder armed: `--timeline <path>` writes its
-//! columnar timeline, `--dump <path>` with `--dump-on-exit` writes an
-//! end-of-run flight dump (a healthy sweep never trips the recorder on
-//! its own).
+//! Telemetry flags re-run the largest SW-SVt cell, on the `--arch`
+//! backend, with the windowed sampler and flight recorder armed:
+//! `--timeline <path>` writes its columnar timeline, `--dump <path>`
+//! with `--dump-on-exit` writes an end-of-run flight dump (a healthy
+//! sweep never trips the recorder on its own).
 
 use svt_arch::ArchId;
 use svt_bench::{
-    guard, hostprof_begin, hostprof_finish, print_header, rule, smp_report_on, smp_series_on_ckpt,
-    BenchCli, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS,
+    guard, hostprof_begin, hostprof_finish, print_header, rule, smp_report, smp_series, BenchCli,
+    SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS,
 };
 use svt_core::SwitchMode;
-use svt_sim::FaultPlan;
-use svt_workloads::{memcached_telemetry, TelemetryOpts, DEFAULT_LANE_SEED};
+use svt_workloads::{run, RunSpec, Serve, TelemetryOpts, DEFAULT_LANE_SEED};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -42,7 +41,7 @@ fn main() {
         }
     }
     let ckpt = cli.checkpoint("smp", seed);
-    let series = smp_series_on_ckpt(
+    let series = smp_series(
         arch,
         &SMP_VCPU_COUNTS,
         SERVE_RATE_QPS,
@@ -69,23 +68,24 @@ fn main() {
         }
         rule();
     }
-    if arch != ArchId::X86 && (cli.timeline.is_some() || cli.dump.is_some() || cli.dump_on_exit()) {
-        println!("(telemetry flags are x86-only; dropping --timeline/--dump for this run)");
-    }
-    if arch == ArchId::X86 && (cli.timeline.is_some() || cli.dump.is_some() || cli.dump_on_exit()) {
+    if cli.timeline.is_some() || cli.dump.is_some() || cli.dump_on_exit() {
         let n_vcpus = *SMP_VCPU_COUNTS.last().unwrap();
         let opts = TelemetryOpts {
             dump_on_exit: cli.dump_on_exit(),
             ..TelemetryOpts::default()
         };
-        let p = memcached_telemetry(
-            SwitchMode::SwSvt,
+        let spec = RunSpec {
+            arch,
             n_vcpus,
-            SERVE_RATE_QPS,
-            SMP_REQUESTS,
-            FaultPlan::none(),
-            &opts,
-        );
+            ..RunSpec::new(
+                Serve::Memcached {
+                    rate_qps: SERVE_RATE_QPS,
+                    requests: SMP_REQUESTS,
+                },
+                SwitchMode::SwSvt,
+            )
+        };
+        let p = run(&spec, opts).1;
         println!(
             "telemetry cell: SW SVt @ {n_vcpus} vCPUs: {} windows, {} flight trip(s)",
             p.windows, p.flight_trips
@@ -98,7 +98,7 @@ fn main() {
             cli.emit_json("flight dump", path, &dump);
         }
     }
-    let mut report = smp_report_on(arch, &series, seed);
+    let mut report = smp_report(arch, &series, seed);
     hostprof_finish(&cli, &mut report);
     cli.emit_report(&report);
 }

@@ -9,6 +9,7 @@ use svt_core::SwitchMode;
 use svt_hv::Level;
 use svt_obs::{Json, RunReport, SpeedupRow};
 use svt_sim::CostModel;
+use svt_workloads::{run, RunSpec, Serve};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -66,8 +67,19 @@ fn main() {
     rule();
 
     // Fig. 8 at one moderate load point.
-    let b = svt_workloads::memcached_point_seeded(SwitchMode::Baseline, 10_000.0, 400, seed);
-    let s = svt_workloads::memcached_point_seeded(SwitchMode::SwSvt, 10_000.0, 400, seed);
+    let outcome = |serve, mode| {
+        let spec = RunSpec {
+            seed,
+            ..RunSpec::new(serve, mode)
+        };
+        run(&spec, ()).0
+    };
+    let memcached = Serve::Memcached {
+        rate_qps: 10_000.0,
+        requests: 400,
+    };
+    let b = outcome(memcached, SwitchMode::Baseline).point;
+    let s = outcome(memcached, SwitchMode::SwSvt).point;
     println!(
         "Fig. 8   avg latency @10kQPS       paper 1.43x     measured {:.2}x ({:.0}us -> {:.0}us)",
         b.avg_ns / s.avg_ns,
@@ -80,8 +92,13 @@ fn main() {
     });
 
     // Fig. 9.
-    let tb = svt_workloads::tpcc_tpm_seeded(SwitchMode::Baseline, 60, seed);
-    let ts = svt_workloads::tpcc_tpm_seeded(SwitchMode::SwSvt, 60, seed);
+    let tpcc = Serve::Tpcc { transactions: 60 };
+    let tb = outcome(tpcc, SwitchMode::Baseline)
+        .tpm()
+        .expect("TPC-C reports tpm");
+    let ts = outcome(tpcc, SwitchMode::SwSvt)
+        .tpm()
+        .expect("TPC-C reports tpm");
     println!(
         "Fig. 9   TPC-C speedup             paper 1.18x     measured {:.2}x ({tb:.0} -> {ts:.0} tpm)",
         ts / tb

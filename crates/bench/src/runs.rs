@@ -18,9 +18,8 @@ use svt_obs::{ExitRow, HostAgg, Json, PartRow, RunReport, SpeedupRow};
 use svt_sim::checkpoint::Checkpoint;
 use svt_sim::{CostModel, FaultPlan, SimDuration};
 use svt_workloads::{
-    cpuid_counted, fig6_bars_on_ckpt, memcached_chaos, memcached_smp_counted_seeded,
-    memcached_smp_seeded_on, memcached_telemetry, ChaosPoint, Fig6Bar, Fig6Grid, SmpPoint,
-    TelemetryOpts, TelemetryPoint,
+    cpuid_counted, fig6_bars_on_ckpt, run, ChaosPoint, ChaosProbe, Fig6Bar, Fig6Grid, RunSpec,
+    Serve, SmpPoint, TelemetryOpts, TelemetryPoint,
 };
 
 use crate::{cost_model_json, machine_json};
@@ -113,18 +112,22 @@ pub struct RiscvGrid {
     pub memcached: Vec<(SwitchMode, SmpPoint)>,
 }
 
+/// The serving spec of the bench campaigns: sharded memcached at
+/// `rate_qps` per lane, default request streams, no faults.
+fn memcached_spec(mode: SwitchMode, n_vcpus: usize, rate_qps: f64, requests: u64) -> RunSpec {
+    RunSpec {
+        n_vcpus,
+        ..RunSpec::new(Serve::Memcached { rate_qps, requests }, mode)
+    }
+}
+
 /// Runs the riscv backend's fig6-style grid: the cpuid-analogue
 /// (virtual-instruction trap) micro-benchmark bars plus memcached
 /// through every engine, all on [`ArchId::Riscv`] with the
-/// CVA6-calibrated cost model.
-pub fn riscv_grid(iters: u64, requests: u64, seed: u64, jobs: usize) -> RiscvGrid {
-    riscv_grid_ckpt(iters, requests, seed, jobs, None)
-}
-
-/// [`riscv_grid`] with optional campaign checkpointing: the bar cells
-/// journal under the `bars` scope and the memcached cells under
-/// `memcached`, and `(ckpt, true)` resumes from the journal.
-pub fn riscv_grid_ckpt(
+/// CVA6-calibrated cost model. With a checkpoint, the bar cells journal
+/// under the `bars` scope and the memcached cells under `memcached`,
+/// and `(ckpt, true)` resumes from the journal.
+pub fn riscv_grid(
     iters: u64,
     requests: u64,
     seed: u64,
@@ -132,42 +135,31 @@ pub fn riscv_grid_ckpt(
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> RiscvGrid {
     let bars = fig6_bars_on_ckpt(ArchId::Riscv, iters, jobs, ckpt);
-    let run = |i: usize| {
-        let mode = SwitchMode::ALL[i];
-        let p = memcached_smp_seeded_on(
-            mode,
-            ArchId::Riscv,
-            RISCV_SMP_VCPUS,
-            SERVE_RATE_QPS,
-            requests,
+    let cell = |i: usize| {
+        let spec = RunSpec {
+            arch: ArchId::Riscv,
             seed,
-        );
-        (mode, p)
+            ..memcached_spec(
+                SwitchMode::ALL[i],
+                RISCV_SMP_VCPUS,
+                SERVE_RATE_QPS,
+                requests,
+            )
+        };
+        run(&spec, ()).0.point
     };
-    let memcached = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "memcached",
-            SwitchMode::ALL.len(),
-            jobs,
-            resume,
-            run,
-            |(_, p), w| p.snap_save(w),
-            |r| {
-                // The mode is a pure function of the grid index, but the
-                // sweep's load closure has no index; recover it from the
-                // point's position via a second pass below.
-                SmpPoint::snap_load(r).map(|p| (SwitchMode::Baseline, p))
-            },
-        ),
-        None => svt_sim::sweep(SwitchMode::ALL.len(), jobs, run),
-    };
-    // Grid-index-derived fields (the mode tag) are reattached after the
-    // merge so journaled and fresh cells agree by construction.
-    let memcached = memcached
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, p))| (SwitchMode::ALL[i], p))
-        .collect();
+    let points = svt_sim::checkpoint::sweep(
+        ckpt,
+        "memcached",
+        SwitchMode::ALL.len(),
+        jobs,
+        cell,
+        SmpPoint::snap_save,
+        SmpPoint::snap_load,
+    );
+    // The mode tag is a pure function of the grid index, attached after
+    // the merge so journaled and fresh cells agree by construction.
+    let memcached = SwitchMode::ALL.into_iter().zip(points).collect();
     RiscvGrid { bars, memcached }
 }
 
@@ -242,37 +234,14 @@ pub fn riscv_report(grid: &RiscvGrid, seed: u64) -> RunReport {
     report
 }
 
-/// Runs the SMP scaling sweep — every [`SwitchMode`] at every vCPU count
-/// — as one `modes × counts` grid across `jobs` workers, returning one
-/// point series per mode in mode order.
-pub fn smp_series(
-    vcpu_counts: &[usize],
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-    jobs: usize,
-) -> Vec<(SwitchMode, Vec<SmpPoint>)> {
-    smp_series_on(ArchId::X86, vcpu_counts, rate_qps, requests, seed, jobs)
-}
-
-/// [`smp_series`] on an explicit ISA backend.
-pub fn smp_series_on(
-    arch: ArchId,
-    vcpu_counts: &[usize],
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-    jobs: usize,
-) -> Vec<(SwitchMode, Vec<SmpPoint>)> {
-    smp_series_on_ckpt(arch, vcpu_counts, rate_qps, requests, seed, jobs, None)
-}
-
-/// [`smp_series_on`] with optional campaign checkpointing: each
-/// `mode × vCPUs` cell journals under the `smp` scope as it completes,
-/// and `(ckpt, true)` resumes from the journal, recomputing only the
-/// missing or corrupted cells.
+/// Runs the SMP scaling sweep on `arch` — every [`SwitchMode`] at every
+/// vCPU count — as one `modes × counts` grid across `jobs` workers,
+/// returning one point series per mode in mode order. With a
+/// checkpoint, each `mode × vCPUs` cell journals under the `smp` scope
+/// as it completes, and `(ckpt, true)` resumes from the journal,
+/// recomputing only the missing or corrupted cells.
 #[allow(clippy::too_many_arguments)]
-pub fn smp_series_on_ckpt(
+pub fn smp_series(
     arch: ArchId,
     vcpu_counts: &[usize],
     rate_qps: f64,
@@ -282,24 +251,26 @@ pub fn smp_series_on_ckpt(
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<(SwitchMode, Vec<SmpPoint>)> {
     let modes = SwitchMode::ALL;
-    let run = |i: usize| {
+    let cell = |i: usize| {
         let mode = modes[i / vcpu_counts.len()];
         let n = vcpu_counts[i % vcpu_counts.len()];
-        memcached_smp_seeded_on(mode, arch, n, rate_qps, requests, seed)
+        let spec = RunSpec {
+            arch,
+            seed,
+            ..memcached_spec(mode, n, rate_qps, requests)
+        };
+        run(&spec, ()).0.point
     };
     let cells = modes.len() * vcpu_counts.len();
-    let points = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "smp",
-            cells,
-            jobs,
-            resume,
-            run,
-            |p, w| p.snap_save(w),
-            SmpPoint::snap_load,
-        ),
-        None => svt_sim::sweep(cells, jobs, run),
-    };
+    let points = svt_sim::checkpoint::sweep(
+        ckpt,
+        "smp",
+        cells,
+        jobs,
+        cell,
+        SmpPoint::snap_save,
+        SmpPoint::snap_load,
+    );
     modes
         .iter()
         .zip(points.chunks(vcpu_counts.len()))
@@ -308,15 +279,11 @@ pub fn smp_series_on_ckpt(
 }
 
 /// Builds the SMP scaling run report from a merged series (the first
-/// series must be the baseline, as [`smp_series`] returns it).
-pub fn smp_report(series: &[(SwitchMode, Vec<SmpPoint>)], seed: u64) -> RunReport {
-    smp_report_on(ArchId::X86, series, seed)
-}
-
-/// [`smp_report`] on an explicit ISA backend: the embedded cost model is
-/// the backend's, and non-x86 reports record the backend under `arch`
-/// (the x86 report's bytes are exactly the pre-arch-layer ones).
-pub fn smp_report_on(arch: ArchId, series: &[(SwitchMode, Vec<SmpPoint>)], seed: u64) -> RunReport {
+/// series must be the baseline, as [`smp_series`] returns it). The
+/// embedded cost model is `arch`'s, and non-x86 reports record the
+/// backend under `arch` (the x86 report's bytes are exactly the
+/// pre-arch-layer ones).
+pub fn smp_report(arch: ArchId, series: &[(SwitchMode, Vec<SmpPoint>)], seed: u64) -> RunReport {
     let mut report = RunReport::new("smp", "Sharded memcached scaling over 1-8 vCPUs");
     report.machine = Some(machine_json());
     report.cost_model = Some(cost_model_json(&arch.cost_model()));
@@ -377,33 +344,38 @@ pub struct FaultCell {
     pub point: ChaosPoint,
 }
 
+/// The chaos run of one campaign cell: memcached on
+/// [`FAULTS_N_VCPUS`] vCPUs at [`SERVE_RATE_QPS`] with a uniform plan at
+/// `rate` (the disarmed plan at rate 0). Lanes keep the default request
+/// streams regardless of the fault seed: every cell of a fault-rate
+/// sweep then serves identical load, so throughput differences are
+/// attributable to the faults.
+fn chaos_cell(mode: SwitchMode, rate: f64, requests: u64, seed: u64) -> ChaosPoint {
+    let faults = if rate == 0.0 {
+        FaultPlan::none()
+    } else {
+        FaultPlan::uniform(seed, rate)
+    };
+    let spec = RunSpec {
+        faults,
+        ..memcached_spec(mode, FAULTS_N_VCPUS, SERVE_RATE_QPS, requests)
+    };
+    run(&spec, ChaosProbe).1
+}
+
 /// Runs the `modes × rates` fault campaign across `jobs` workers. Cells
 /// merge in grid order (mode-major). Every cell must finish with silent
 /// causal watchdogs: injected faults may cost time, never correctness.
-///
-/// # Panics
-///
-/// Panics if any cell reports a watchdog violation.
-pub fn faults_campaign(
-    modes: &[SwitchMode],
-    rates: &[f64],
-    requests: u64,
-    seed: u64,
-    jobs: usize,
-) -> Vec<FaultCell> {
-    faults_campaign_ckpt(modes, rates, requests, seed, jobs, None)
-}
-
-/// [`faults_campaign`] with optional campaign checkpointing: each
-/// `mode × rate` cell journals under the `faults` scope as it completes,
-/// and `(ckpt, true)` resumes from the journal. Watchdog verdicts are
-/// part of the journaled payload, so replayed cells re-assert the
-/// zero-violation contract exactly as fresh ones do.
+/// With a checkpoint, each `mode × rate` cell journals under the
+/// `faults` scope as it completes, and `(ckpt, true)` resumes from the
+/// journal. Watchdog verdicts are part of the journaled payload, so
+/// replayed cells re-assert the zero-violation contract exactly as fresh
+/// ones do.
 ///
 /// # Panics
 ///
 /// Panics if any cell (fresh or replayed) reports a watchdog violation.
-pub fn faults_campaign_ckpt(
+pub fn faults_campaign(
     modes: &[SwitchMode],
     rates: &[f64],
     requests: u64,
@@ -411,34 +383,23 @@ pub fn faults_campaign_ckpt(
     jobs: usize,
     ckpt: Option<(&Checkpoint, bool)>,
 ) -> Vec<FaultCell> {
-    let run = |i: usize| {
-        let rate = rates[i % rates.len()];
-        let plan = if rate == 0.0 {
-            FaultPlan::none()
-        } else {
-            FaultPlan::uniform(seed, rate)
-        };
-        memcached_chaos(
+    let cell = |i: usize| {
+        chaos_cell(
             modes[i / rates.len()],
-            FAULTS_N_VCPUS,
-            SERVE_RATE_QPS,
+            rates[i % rates.len()],
             requests,
-            plan,
+            seed,
         )
     };
-    let n = modes.len() * rates.len();
-    let cells = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "faults",
-            n,
-            jobs,
-            resume,
-            run,
-            |p, w| p.snap_save(w),
-            ChaosPoint::snap_load,
-        ),
-        None => svt_sim::sweep(n, jobs, run),
-    };
+    let cells = svt_sim::checkpoint::sweep(
+        ckpt,
+        "faults",
+        modes.len() * rates.len(),
+        jobs,
+        cell,
+        ChaosPoint::snap_save,
+        ChaosPoint::snap_load,
+    );
     let cells: Vec<FaultCell> = cells
         .into_iter()
         .enumerate()
@@ -689,14 +650,16 @@ pub fn selfperf_rows_ckpt(
                 SwitchMode::ALL.len(),
                 svt_sim::resolve_jobs_for(jobs, SwitchMode::ALL.len()),
                 |i| {
-                    memcached_smp_counted_seeded(
-                        SwitchMode::ALL[i],
-                        SELFPERF_SMP_VCPUS,
-                        SERVE_RATE_QPS,
-                        smp_requests,
+                    let spec = RunSpec {
                         seed,
-                    )
-                    .1
+                        ..memcached_spec(
+                            SwitchMode::ALL[i],
+                            SELFPERF_SMP_VCPUS,
+                            SERVE_RATE_QPS,
+                            smp_requests,
+                        )
+                    };
+                    run(&spec, ()).0.traps
                 },
             )
         }),
@@ -706,18 +669,11 @@ pub fn selfperf_rows_ckpt(
                 FAULTS_MODES.len() * SELFPERF_FAULT_RATES.len(),
                 svt_sim::resolve_jobs_for(jobs, FAULTS_MODES.len() * SELFPERF_FAULT_RATES.len()),
                 |i| {
-                    let rate = SELFPERF_FAULT_RATES[i % SELFPERF_FAULT_RATES.len()];
-                    let plan = if rate == 0.0 {
-                        FaultPlan::none()
-                    } else {
-                        FaultPlan::uniform(FAULTS_DEFAULT_SEED, rate)
-                    };
-                    memcached_chaos(
+                    chaos_cell(
                         FAULTS_MODES[i / SELFPERF_FAULT_RATES.len()],
-                        FAULTS_N_VCPUS,
-                        SERVE_RATE_QPS,
+                        SELFPERF_FAULT_RATES[i % SELFPERF_FAULT_RATES.len()],
                         faults_requests,
-                        plan,
+                        FAULTS_DEFAULT_SEED,
                     )
                     .traps
                 },
@@ -838,25 +794,17 @@ pub fn hostprof_campaign(
     let jobs = svt_sim::resolve_jobs_for(jobs, cells);
     // Warm one cell unprofiled: lazy init and cold caches would otherwise
     // land in the first cell's attribution.
-    black_box(memcached_smp_counted_seeded(
-        SwitchMode::ALL[0],
-        HOSTPROF_N_VCPUS,
-        SERVE_RATE_QPS,
-        requests.min(20),
+    let spec = |mode: SwitchMode, requests: u64| RunSpec {
+        arch,
         seed,
-    ));
+        ..memcached_spec(mode, HOSTPROF_N_VCPUS, SERVE_RATE_QPS, requests)
+    };
+    black_box(run(&spec(SwitchMode::ALL[0], requests.min(20)), ()));
     svt_obs::hostprof::set_enabled(true);
     let _ = svt_obs::hostprof::take_global();
     let start = Instant::now();
     let completed: u64 = svt_sim::sweep(cells, jobs, |i| {
-        let p = memcached_smp_seeded_on(
-            SwitchMode::ALL[i],
-            arch,
-            HOSTPROF_N_VCPUS,
-            SERVE_RATE_QPS,
-            requests,
-            seed,
-        );
+        let p = run(&spec(SwitchMode::ALL[i], requests), ()).0.point;
         black_box(p.completed)
     })
     .iter()
@@ -943,7 +891,7 @@ pub fn timeline_cells(
         ..TelemetryOpts::default()
     };
     svt_sim::sweep(n, jobs, |i| {
-        let (name, mode, plan) = if i < SwitchMode::ALL.len() {
+        let (name, mode, faults) = if i < SwitchMode::ALL.len() {
             let mode = SwitchMode::ALL[i];
             let name = mode.label().replace(' ', "_").to_lowercase();
             (name, mode, FaultPlan::none())
@@ -954,14 +902,11 @@ pub fn timeline_cells(
                 FaultPlan::uniform(seed, TIMELINE_FAULT_RATE),
             )
         };
-        let point = memcached_telemetry(
-            mode,
-            TIMELINE_N_VCPUS,
-            SERVE_RATE_QPS,
-            requests,
-            plan,
-            &opts,
-        );
+        let spec = RunSpec {
+            faults,
+            ..memcached_spec(mode, TIMELINE_N_VCPUS, SERVE_RATE_QPS, requests)
+        };
+        let point = run(&spec, opts).1;
         TimelineCell { name, point }
     })
 }

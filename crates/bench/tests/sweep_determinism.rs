@@ -9,6 +9,7 @@
 //! grid order regardless of worker completion order — see the ordering
 //! property tests in `svt_sim::sweep`.)
 
+use svt_arch::ArchId;
 use svt_bench::{
     faults_campaign, faults_report, fig6_report, smp_report, smp_series, timeline_cells,
     timeline_report, timelines_json, FAULTS_DEFAULT_SEED, FAULTS_MODES, SERVE_RATE_QPS,
@@ -26,11 +27,25 @@ fn fig6_report_is_byte_identical_across_worker_counts() {
 #[test]
 fn smp_report_is_byte_identical_across_worker_counts() {
     let counts = [1usize, 2];
-    let a = smp_series(&counts, SERVE_RATE_QPS, 60, DEFAULT_LANE_SEED, 1);
-    let b = smp_series(&counts, SERVE_RATE_QPS, 60, DEFAULT_LANE_SEED, 4);
+    let series = |jobs| {
+        smp_series(
+            ArchId::X86,
+            &counts,
+            SERVE_RATE_QPS,
+            60,
+            DEFAULT_LANE_SEED,
+            jobs,
+            None,
+        )
+    };
+    let (a, b) = (series(1), series(4));
     assert_eq!(
-        smp_report(&a, DEFAULT_LANE_SEED).to_json().pretty(),
-        smp_report(&b, DEFAULT_LANE_SEED).to_json().pretty()
+        smp_report(ArchId::X86, &a, DEFAULT_LANE_SEED)
+            .to_json()
+            .pretty(),
+        smp_report(ArchId::X86, &b, DEFAULT_LANE_SEED)
+            .to_json()
+            .pretty()
     );
 }
 
@@ -65,8 +80,8 @@ fn timeline_export_is_byte_identical_across_worker_counts() {
 #[test]
 fn faults_report_is_byte_identical_across_worker_counts() {
     let rates = [0.0, 0.05];
-    let a = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 1);
-    let b = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 4);
+    let a = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 1, None);
+    let b = faults_campaign(&FAULTS_MODES, &rates, 60, FAULTS_DEFAULT_SEED, 4, None);
     assert_eq!(
         faults_report(&a, FAULTS_DEFAULT_SEED).to_json().pretty(),
         faults_report(&b, FAULTS_DEFAULT_SEED).to_json().pretty()

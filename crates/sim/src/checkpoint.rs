@@ -168,6 +168,32 @@ impl Checkpoint {
     }
 }
 
+/// Runs a `cells`-cell grid, journaled through [`Checkpoint::sweep`]
+/// under `scope` when `ckpt` is given (`(ckpt, true)` resumes from the
+/// journal), or as a plain [`crate::sweep`] otherwise. Either way the
+/// merged result is the same, in grid order.
+#[allow(clippy::too_many_arguments)]
+pub fn sweep<T, F, S, L>(
+    ckpt: Option<(&Checkpoint, bool)>,
+    scope: &str,
+    cells: usize,
+    jobs: usize,
+    run: F,
+    save: S,
+    load: L,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    S: Fn(&T, &mut SnapWriter) + Sync,
+    L: Fn(&mut SnapReader<'_>) -> Result<T, SnapError> + Sync,
+{
+    match ckpt {
+        Some((c, resume)) => c.sweep(scope, cells, jobs, resume, run, save, load),
+        None => crate::sweep(cells, jobs, run),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,23 +1,17 @@
 //! Chaos campaigns: serving workloads under deterministic fault injection.
 //!
-//! Runs the sharded memcached SMP workload with an armed
-//! [`FaultPlan`] installed in the machine and harvests everything the
-//! robustness story needs in one structured point: per-kind injection
-//! counts, the recovery counters (retries, timeouts, duplicate drops),
-//! the degradation state machine's transitions and fallback share, and
-//! all causal-graph watchdog verdicts. One `(seed, rate)` pair fully
+//! A serving run with an armed `FaultPlan` installed in the machine
+//! harvests, through [`ChaosProbe`], everything the robustness story
+//! needs in one structured point: per-kind injection counts, the
+//! recovery counters (retries, timeouts, duplicate drops), the
+//! degradation state machine's transitions and fallback share, and all
+//! causal-graph watchdog verdicts. One `(seed, rate)` pair fully
 //! determines a run.
 
-use svt_core::{smp_machine, SwitchMode};
-use svt_hv::GuestProgram;
+use svt_hv::Machine;
 use svt_obs::{MetricKey, WATCHDOGS};
-use svt_sim::{FaultPlan, SimDuration, SimTime};
 
-use crate::harness::attach_loadgen_for_seeded;
-use crate::kvstore::{EtcSource, KvService, KV_WARM_KEYS};
-use crate::loadgen::ArrivalMode;
-use crate::server::{RrServer, ServerConfig};
-use crate::smp::SmpPoint;
+use crate::serve::{Probe, RunOutcome, SmpPoint};
 
 /// Everything one chaos run reports.
 #[derive(Debug, Clone)]
@@ -143,123 +137,99 @@ fn pairs_load(
     Ok(v)
 }
 
-/// Sharded memcached under per-vCPU open-loop ETC load with `plan`
-/// armed on the machine. The same `(plan seed, rates, schedule)` always
+/// Probe arming the causal graph as the run's invariant monitor (its
+/// watchdogs must stay silent even under injection); harvests a
+/// [`ChaosPoint`]. Pair it with a [`RunSpec`](crate::RunSpec) whose
+/// `faults` carries the plan: one `(plan seed, rates, schedule)` always
 /// produces the same point, bit for bit.
-///
-/// # Panics
-///
-/// Panics if `n_vcpus` is zero or exceeds the machine's physical cores,
-/// or if no lane completes any request (an injection-survival failure:
-/// liveness is part of the contract).
-pub fn memcached_chaos(
-    mode: SwitchMode,
-    n_vcpus: usize,
-    rate_qps: f64,
-    requests: u64,
-    plan: FaultPlan,
-) -> ChaosPoint {
-    let mean = SimDuration::from_ns_f64(1e9 / rate_qps);
-    let mut m = smp_machine(mode, n_vcpus);
-    let seed = plan.seed();
-    m.faults = plan;
-    // The causal graph doubles as the run's invariant monitor: its
-    // watchdogs must stay silent even under injection.
-    m.obs.causal.enable();
-    let cost = m.cost.clone();
-    let mut stats = Vec::with_capacity(n_vcpus);
-    let mut servers: Vec<RrServer> = Vec::with_capacity(n_vcpus);
-    for v in 0..n_vcpus {
-        let source = Box::new(EtcSource::new(100_000));
-        // Lanes keep the default request streams regardless of the fault
-        // seed: every cell of a fault-rate sweep then serves identical
-        // load, so throughput differences are attributable to the faults.
-        stats.push(attach_loadgen_for_seeded(
-            &mut m,
-            v,
-            ArrivalMode::OpenLoop {
-                mean_interarrival: mean,
-            },
-            requests,
-            source,
-            crate::harness::DEFAULT_LANE_SEED,
-        ));
-        let mut cfg = ServerConfig::rr_on_lane(&cost, u64::MAX, v);
-        cfg.timer_rearm_every = 4;
-        cfg.replenish_every = 2;
-        servers.push(RrServer::new(cfg, Box::new(KvService::new(KV_WARM_KEYS))));
-    }
-    let horizon = SimTime::ZERO
-        + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())
-        + SimDuration::from_ms(80);
-    let mut progs: Vec<&mut dyn GuestProgram> = servers
-        .iter_mut()
-        .map(|s| s as &mut dyn GuestProgram)
-        .collect();
-    m.run_smp(&mut progs, horizon)
-        .expect("chaos run survives injection");
-    harvest(&m, seed, crate::smp::collect(n_vcpus, &stats))
-}
+#[derive(Debug, Clone, Copy)]
+pub struct ChaosProbe;
 
-fn harvest(m: &svt_hv::Machine, seed: u64, point: SmpPoint) -> ChaosPoint {
-    let total = |name: &str| m.obs.metrics.counter_total(name);
-    let injected = m.faults.injected_counts();
-    let total_injected = m.faults.total_injected();
-    let taken: Vec<(&'static str, u64)> = [
-        "healthy->degraded",
-        "degraded->fallen_back",
-        "fallen_back->degraded",
-        "degraded->healthy",
-    ]
-    .into_iter()
-    .map(|label| {
-        let key = MetricKey::new("svt_state_transition")
-            .exit(label)
-            .reflector("sw-svt");
-        (label, m.obs.metrics.counter(key))
-    })
-    .filter(|&(_, n)| n > 0)
-    .collect();
-    let watchdogs = WATCHDOGS
-        .iter()
-        .map(|&name| {
-            let n = m
-                .obs
-                .causal
-                .violations()
-                .find(|&(k, _)| k == name)
-                .map_or(0, |(_, n)| n);
-            (name, n)
+impl Probe for ChaosProbe {
+    type Output = ChaosPoint;
+
+    fn arm(&self, m: &mut Machine) {
+        m.obs.causal.enable();
+    }
+
+    fn harvest(self, m: &mut Machine, out: &RunOutcome) -> ChaosPoint {
+        let total = |name: &str| m.obs.metrics.counter_total(name);
+        let taken: Vec<(&'static str, u64)> = [
+            "healthy->degraded",
+            "degraded->fallen_back",
+            "fallen_back->degraded",
+            "degraded->healthy",
+        ]
+        .into_iter()
+        .map(|label| {
+            let key = MetricKey::new("svt_state_transition")
+                .exit(label)
+                .reflector("sw-svt");
+            (label, m.obs.metrics.counter(key))
         })
+        .filter(|&(_, n)| n > 0)
         .collect();
-    ChaosPoint {
-        point,
-        seed,
-        injected,
-        total_injected,
-        retransmits: total("svt_retransmits"),
-        timeouts: total("svt_timeouts"),
-        duplicates_dropped: total("svt_duplicates_dropped"),
-        protocol_errors: total("svt_protocol_errors"),
-        ipi_retransmits: total("ipi_retransmits"),
-        ipi_duplicates_absorbed: total("ipi_duplicates_absorbed"),
-        transitions: taken,
-        ring_traps: total("svt_trap_ring"),
-        fallback_traps: total("svt_trap_fallback"),
-        resume_fallbacks: total("svt_resume_fallback"),
-        watchdogs,
-        traps: total("vm_exit") + total("l0_direct_exit"),
+        let watchdogs = WATCHDOGS
+            .iter()
+            .map(|&name| {
+                let n = m
+                    .obs
+                    .causal
+                    .violations()
+                    .find(|&(k, _)| k == name)
+                    .map_or(0, |(_, n)| n);
+                (name, n)
+            })
+            .collect();
+        ChaosPoint {
+            point: out.point.clone(),
+            seed: m.faults.seed(),
+            injected: m.faults.injected_counts(),
+            total_injected: m.faults.total_injected(),
+            retransmits: total("svt_retransmits"),
+            timeouts: total("svt_timeouts"),
+            duplicates_dropped: total("svt_duplicates_dropped"),
+            protocol_errors: total("svt_protocol_errors"),
+            ipi_retransmits: total("ipi_retransmits"),
+            ipi_duplicates_absorbed: total("ipi_duplicates_absorbed"),
+            transitions: taken,
+            ring_traps: total("svt_trap_ring"),
+            fallback_traps: total("svt_trap_fallback"),
+            resume_fallbacks: total("svt_resume_fallback"),
+            watchdogs,
+            traps: out.traps,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use svt_core::SwitchMode;
+    use svt_sim::FaultPlan;
+
     use super::*;
+    use crate::serve::{run, RunSpec, Serve};
+
+    /// SW SVt memcached on 2 vCPUs at 2 kQPS with `faults` installed.
+    fn chaos_spec(requests: u64, faults: FaultPlan) -> RunSpec {
+        RunSpec {
+            n_vcpus: 2,
+            faults,
+            ..RunSpec::new(
+                Serve::Memcached {
+                    rate_qps: 2_000.0,
+                    requests,
+                },
+                SwitchMode::SwSvt,
+            )
+        }
+    }
 
     #[test]
     fn fault_free_chaos_matches_plain_smp() {
-        let plain = crate::smp::memcached_smp(SwitchMode::SwSvt, 2, 2_000.0, 60);
-        let chaos = memcached_chaos(SwitchMode::SwSvt, 2, 2_000.0, 60, FaultPlan::none());
+        let spec = chaos_spec(60, FaultPlan::none());
+        let plain = run(&spec, ()).0.point;
+        let chaos = run(&spec, ChaosProbe).1;
         assert_eq!(chaos.point, plain);
         assert_eq!(chaos.total_injected, 0);
         assert_eq!(chaos.retransmits, 0);
@@ -270,7 +240,7 @@ mod tests {
     #[test]
     fn injected_faults_are_survived_and_counted() {
         let plan = FaultPlan::uniform(0xC4A05, 0.08);
-        let chaos = memcached_chaos(SwitchMode::SwSvt, 2, 2_000.0, 80, plan);
+        let chaos = run(&chaos_spec(80, plan), ChaosProbe).1;
         assert!(chaos.total_injected > 0, "plan injected nothing");
         assert!(chaos.point.completed > 0, "no requests survived");
         assert_eq!(
@@ -288,20 +258,8 @@ mod tests {
 
     #[test]
     fn identical_seeds_reproduce_identical_campaigns() {
-        let a = memcached_chaos(
-            SwitchMode::SwSvt,
-            2,
-            2_000.0,
-            60,
-            FaultPlan::uniform(7, 0.05),
-        );
-        let b = memcached_chaos(
-            SwitchMode::SwSvt,
-            2,
-            2_000.0,
-            60,
-            FaultPlan::uniform(7, 0.05),
-        );
+        let a = run(&chaos_spec(60, FaultPlan::uniform(7, 0.05)), ChaosProbe).1;
+        let b = run(&chaos_spec(60, FaultPlan::uniform(7, 0.05)), ChaosProbe).1;
         assert_eq!(a.point, b.point);
         assert_eq!(a.injected, b.injected);
         assert_eq!(a.retransmits, b.retransmits);

@@ -136,18 +136,15 @@ pub fn fig6_bars_on_ckpt(
         let (_, level, mode) = FIG6_CELLS[i];
         cpuid_us_on(level, mode, arch, iters)
     };
-    let times = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "bars",
-            FIG6_CELLS.len(),
-            jobs,
-            resume,
-            run,
-            |t, w| w.f64(*t),
-            |r| r.f64(),
-        ),
-        None => svt_sim::sweep(FIG6_CELLS.len(), jobs, run),
-    };
+    let times = svt_sim::checkpoint::sweep(
+        ckpt,
+        "bars",
+        FIG6_CELLS.len(),
+        jobs,
+        run,
+        |t, w| w.f64(*t),
+        |r| r.f64(),
+    );
     bars_from_times(&times)
 }
 
@@ -274,18 +271,15 @@ pub fn fig6_grid_ckpt(
             GridCell::Observed(Box::new(cpuid_observed(SwitchMode::Baseline, iters)))
         }
     };
-    let mut cells = match ckpt {
-        Some((c, resume)) => c.sweep(
-            "fig6",
-            n_bars + 2,
-            jobs,
-            resume,
-            run,
-            grid_cell_save,
-            grid_cell_load,
-        ),
-        None => svt_sim::sweep(n_bars + 2, jobs, run),
-    };
+    let mut cells = svt_sim::checkpoint::sweep(
+        ckpt,
+        "fig6",
+        n_bars + 2,
+        jobs,
+        run,
+        grid_cell_save,
+        grid_cell_load,
+    );
     let Some(GridCell::Observed(observed)) = cells.pop() else {
         unreachable!("last grid cell is the observed run")
     };

@@ -5,81 +5,32 @@
 //! 500 µs-SLA throughput crossover is derived.
 
 use svt_core::SwitchMode;
-use svt_sim::SimDuration;
 use svt_stats::{SweepPoint, SweepSeries};
 
-use crate::harness::{rr_machine_seeded, DEFAULT_LANE_SEED};
-use crate::kvstore::{EtcSource, KvService, KV_WARM_KEYS};
-use crate::loadgen::ArrivalMode;
-use crate::server::{RrServer, ServerConfig};
+use crate::serve::{run, RunSpec, Serve};
 
 /// The SLA used in the paper (500 µs on the 99th percentile).
 pub const SLA_NS: f64 = 500_000.0;
 
-/// One point of the latency-vs-load sweep.
-pub fn memcached_point(mode: SwitchMode, rate_qps: f64, requests: u64) -> SweepPoint {
-    memcached_point_seeded(mode, rate_qps, requests, DEFAULT_LANE_SEED)
-}
-
-/// [`memcached_point`] with an explicit request-stream seed.
-pub fn memcached_point_seeded(
-    mode: SwitchMode,
-    rate_qps: f64,
-    requests: u64,
-    seed: u64,
-) -> SweepPoint {
-    let mean = SimDuration::from_ns_f64(1e9 / rate_qps);
-    let source = Box::new(EtcSource::new(100_000));
-    let (mut m, stats) = rr_machine_seeded(
-        mode,
-        ArrivalMode::OpenLoop {
-            mean_interarrival: mean,
-        },
-        requests,
-        source,
-        seed,
-    );
-    let cost = m.cost.clone();
-    // Serve whatever arrives: under overload some requests are dropped
-    // at the RX ring (as with a real NIC), so the run is bounded by time
-    // rather than a served-request count.
-    let mut cfg = ServerConfig::rr_defaults(&cost, u64::MAX);
-    // memcached batches several requests per interrupt at load; the
-    // timer is rearmed less often than per request.
-    cfg.timer_rearm_every = 4;
-    cfg.replenish_every = 2;
-    let mut server = RrServer::new(cfg, Box::new(KvService::new(KV_WARM_KEYS)));
-    let horizon = svt_sim::SimTime::ZERO
-        + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())
-        + SimDuration::from_ms(80);
-    m.run_until(&mut server, horizon)
-        .expect("memcached run completes");
-    let s = stats.borrow();
-    // Dropped requests never complete; the server may therefore serve
-    // slightly fewer than `requests`. Use what completed.
-    SweepPoint {
-        load: rate_qps,
-        throughput: s.throughput_rps(),
-        avg_ns: s.latency.mean(),
-        p99_ns: s.latency.p99(),
-    }
-}
-
-/// Sweeps offered load and returns the latency curve.
-pub fn fig8_series(mode: SwitchMode, rates_kqps: &[f64], requests: u64) -> SweepSeries {
-    fig8_series_seeded(mode, rates_kqps, requests, DEFAULT_LANE_SEED)
-}
-
-/// [`fig8_series`] with an explicit request-stream seed.
-pub fn fig8_series_seeded(
-    mode: SwitchMode,
-    rates_kqps: &[f64],
-    requests: u64,
-    seed: u64,
-) -> SweepSeries {
+/// Sweeps offered load on one vCPU and returns the latency curve;
+/// `seed` is the request-stream seed of every point.
+pub fn fig8_series(mode: SwitchMode, rates_kqps: &[f64], requests: u64, seed: u64) -> SweepSeries {
     let mut series = SweepSeries::new(mode.label());
     for &r in rates_kqps {
-        series.push(memcached_point_seeded(mode, r * 1000.0, requests, seed));
+        let rate_qps = r * 1000.0;
+        let spec = RunSpec {
+            seed,
+            ..RunSpec::new(Serve::Memcached { rate_qps, requests }, mode)
+        };
+        // Dropped requests never complete; the point may therefore count
+        // slightly fewer than `requests`. Use what completed.
+        let p = run(&spec, ()).0.point;
+        series.push(SweepPoint {
+            load: rate_qps,
+            throughput: p.throughput,
+            avg_ns: p.avg_ns,
+            p99_ns: p.p99_ns,
+        });
     }
     series
 }
@@ -90,41 +41,4 @@ pub fn default_rates() -> Vec<f64> {
     vec![
         2.0, 4.0, 5.0, 6.0, 6.5, 7.0, 7.5, 8.0, 8.5, 9.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.5,
     ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn low_load_latency_is_flat_and_finite() {
-        let p = memcached_point(SwitchMode::Baseline, 2_000.0, 150);
-        assert!(
-            p.avg_ns > 50_000.0 && p.avg_ns < 500_000.0,
-            "avg {}",
-            p.avg_ns
-        );
-        assert!(p.p99_ns >= p.avg_ns);
-        assert!(p.throughput > 1_000.0);
-    }
-
-    #[test]
-    fn latency_grows_with_load() {
-        let low = memcached_point(SwitchMode::Baseline, 2_000.0, 150);
-        let high = memcached_point(SwitchMode::Baseline, 9_000.0, 400);
-        assert!(
-            high.avg_ns > low.avg_ns,
-            "low {} high {}",
-            low.avg_ns,
-            high.avg_ns
-        );
-    }
-
-    #[test]
-    fn svt_extends_the_sla_envelope() {
-        // At a rate the baseline struggles with, SW SVt shows lower p99.
-        let b = memcached_point(SwitchMode::Baseline, 7_000.0, 300);
-        let s = memcached_point(SwitchMode::SwSvt, 7_000.0, 300);
-        assert!(s.p99_ns < b.p99_ns, "baseline {} sw {}", b.p99_ns, s.p99_ns);
-    }
 }

@@ -20,28 +20,24 @@ pub const QUEUE_SIZE: u16 = 32;
 /// stay bit-identical to every earlier release.
 pub const DEFAULT_LANE_SEED: u64 = 0x1509;
 
-/// Builds a nested machine with a load-generator NIC attached; returns the
-/// machine and the shared statistics handle.
+/// Builds a nested machine with a load-generator NIC attached on the
+/// default request stream; returns the machine and the shared statistics
+/// handle.
 pub fn rr_machine(
     mode: SwitchMode,
     arrival: ArrivalMode,
     total_requests: u64,
     source: Box<dyn RequestSource>,
 ) -> (Machine, Rc<RefCell<LoadStats>>) {
-    rr_machine_seeded(mode, arrival, total_requests, source, DEFAULT_LANE_SEED)
-}
-
-/// [`rr_machine`] with an explicit request-stream seed, so single-vCPU
-/// benchmark runs are reproducible from one `--seed` value.
-pub fn rr_machine_seeded(
-    mode: SwitchMode,
-    arrival: ArrivalMode,
-    total_requests: u64,
-    source: Box<dyn RequestSource>,
-    seed: u64,
-) -> (Machine, Rc<RefCell<LoadStats>>) {
     let mut m = nested_machine(mode);
-    let stats = attach_loadgen_for_seeded(&mut m, 0, arrival, total_requests, source, seed);
+    let stats = attach_loadgen_for_seeded(
+        &mut m,
+        0,
+        arrival,
+        total_requests,
+        source,
+        DEFAULT_LANE_SEED,
+    );
     (m, stats)
 }
 
@@ -53,21 +49,9 @@ pub fn attach_blk(m: &mut Machine) {
 /// Attaches a per-vCPU load-generator NIC on `vcpu`'s workload lane:
 /// queues and MMIO come from [`layout::lane`], and the device's
 /// completions and interrupts are routed to that vCPU only (queue-to-IRQ
-/// affinity). Each lane seeds its request stream differently so the
-/// per-vCPU streams are distinct but deterministic.
-pub fn attach_loadgen_for(
-    m: &mut Machine,
-    vcpu: usize,
-    arrival: ArrivalMode,
-    total_requests: u64,
-    source: Box<dyn RequestSource>,
-) -> Rc<RefCell<LoadStats>> {
-    attach_loadgen_for_seeded(m, vcpu, arrival, total_requests, source, DEFAULT_LANE_SEED)
-}
-
-/// [`attach_loadgen_for`] with an explicit base seed: lane `vcpu` draws
-/// its request stream from `base_seed + vcpu`, so a whole run is
-/// reproducible from one `--seed` value.
+/// affinity). Lane `vcpu` draws its request stream from
+/// `base_seed + vcpu`, so the per-vCPU streams are distinct but
+/// deterministic and a whole run is reproducible from one `--seed` value.
 pub fn attach_loadgen_for_seeded(
     m: &mut Machine,
     vcpu: usize,

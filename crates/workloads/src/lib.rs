@@ -6,9 +6,12 @@
 //! * [`channel_study`] — the § 6.1 communication-channel feasibility study;
 //! * [`fig7`] — the I/O subsystem benchmarks (netperf TCP_RR/TCP_STREAM,
 //!   ioping, fio);
-//! * [`fig8_series`] — memcached under Facebook's ETC workload with the
-//!   500 µs SLA sweep;
-//! * [`tpcc_tpm`] — TPC-C-lite throughput with WAL persistence (Fig. 9);
+//! * [`run`] — the serving experiment: one [`RunSpec`] (memcached under
+//!   Facebook's ETC workload or TPC-C-lite with WAL persistence, any
+//!   engine, ISA, vCPU count, seed and fault plan) and one [`Probe`]
+//!   choosing what is recorded (Figs. 8 and 9, the SMP sweep, chaos and
+//!   telemetry runs); [`fig8_series`] sweeps it for Fig. 8's 500 µs SLA
+//!   curve;
 //! * [`video_playback`] — frame-deadline playback (Fig. 10).
 //!
 //! The guest-side programs are real: an in-memory key-value store, a
@@ -38,13 +41,12 @@ mod disk;
 mod fig10;
 mod fig7;
 mod fig8;
-mod fig9;
 mod harness;
 mod kvstore;
 pub mod layout;
 mod loadgen;
+mod serve;
 mod server;
-mod smp;
 mod stream;
 mod telemetry;
 mod tpcc;
@@ -54,7 +56,7 @@ pub use channel::{
     channel_cell, channel_study, default_workloads, simulate_channel_round_ns, ChannelCell,
     Mechanism, POLL_SMT_STEAL_RATIO,
 };
-pub use chaos::{memcached_chaos, ChaosPoint};
+pub use chaos::{ChaosPoint, ChaosProbe};
 pub use cpuid::{
     cpuid_counted, cpuid_observed, cpuid_observed_on, cpuid_us, cpuid_us_on, fig6, fig6_bars_on,
     fig6_bars_on_ckpt, fig6_grid, fig6_grid_ckpt, fig6_jobs, table1, ExitAttribution, Fig6Bar,
@@ -65,29 +67,21 @@ pub use fig10::{video_playback, PlaybackResult};
 pub use fig7::{
     disk_bandwidth_kb_s, disk_latency_us, fig7, net_rr_latency_us, net_stream_mbps, IoRow,
 };
-pub use fig8::{
-    default_rates, fig8_series, fig8_series_seeded, memcached_point, memcached_point_seeded, SLA_NS,
-};
-pub use fig9::{tpcc_tpm, tpcc_tpm_seeded};
+pub use fig8::{default_rates, fig8_series, SLA_NS};
 pub use harness::{
-    attach_blk, attach_blk_for, attach_loadgen_for, attach_loadgen_for_seeded, rr_arrival,
-    rr_machine, rr_machine_seeded, DEFAULT_LANE_SEED, QUEUE_SIZE,
+    attach_blk, attach_blk_for, attach_loadgen_for_seeded, rr_arrival, rr_machine,
+    DEFAULT_LANE_SEED, QUEUE_SIZE,
 };
 pub use kvstore::{EtcSource, KvService, KvStore, KV_WARM_KEYS, OP_GET, OP_SET};
 pub use loadgen::{
     regs, ArrivalMode, FixedSource, LoadGenConfig, LoadGenNet, LoadStats, Request, RequestSource,
     PAYLOAD_HEADER,
 };
+pub use serve::{run, CausalProfile, Probe, ProfileProbe, RunOutcome, RunSpec, Serve, SmpPoint};
 pub use server::{
     EchoService, ParsedRequest, RrServer, ServeOutput, ServerConfig, ServiceModel, VECTOR_BLK,
 };
-pub use smp::{
-    memcached_smp, memcached_smp_counted_seeded, memcached_smp_profiled,
-    memcached_smp_profiled_seeded, memcached_smp_profiled_seeded_on, memcached_smp_seeded,
-    memcached_smp_seeded_on, tpcc_smp, tpcc_smp_profiled, tpcc_smp_profiled_seeded,
-    tpcc_smp_seeded, CausalProfile, SmpPoint,
-};
 pub use stream::StreamSender;
-pub use telemetry::{memcached_telemetry, TelemetryOpts, TelemetryPoint};
+pub use telemetry::{TelemetryOpts, TelemetryPoint};
 pub use tpcc::{TpccDb, TpccService, TpccSource, TxType};
 pub use video::{VideoConfig, VideoPlayer};

@@ -1,27 +1,22 @@
 //! Telemetry runs: serving workloads with the windowed time-series
 //! sampler and the flight recorder armed.
 //!
-//! The runner is the chaos harness with the full observability stack on:
-//! causal graph (the flight buffer), timeline sampler at a configurable
-//! simulated-time cadence, and the armed flight recorder. Everything the
-//! run returns — the serving point, the columnar timeline, the crash
-//! dump — is a pure function of `(mode, n_vcpus, rate, requests, seed,
-//! fault plan, cadence)`, so timeline reports merge byte-identically
+//! [`TelemetryOpts`] is the probe that runs the full observability stack
+//! on a serving run: causal graph (the flight buffer), timeline sampler
+//! at a configurable simulated-time cadence, and the armed flight
+//! recorder. Everything the run returns — the serving point, the
+//! columnar timeline, the crash dump — is a pure function of the
+//! `RunSpec` and the options, so timeline reports merge byte-identically
 //! across sweep workers exactly like run reports do.
 
-use svt_core::{smp_machine, SwitchMode};
-use svt_hv::GuestProgram;
+use svt_hv::Machine;
 use svt_obs::Json;
-use svt_sim::{FaultPlan, SimDuration, SimTime};
+use svt_sim::{SimDuration, SimTime};
 
-use crate::harness::attach_loadgen_for_seeded;
-use crate::kvstore::{EtcSource, KvService, KV_WARM_KEYS};
-use crate::loadgen::ArrivalMode;
-use crate::server::{RrServer, ServerConfig};
-use crate::smp::SmpPoint;
+use crate::serve::{Probe, RunOutcome, SmpPoint};
 
-/// Knobs of a telemetry run.
-#[derive(Debug, Clone)]
+/// Knobs of a telemetry run; also the run's [`Probe`].
+#[derive(Debug, Clone, Copy)]
 pub struct TelemetryOpts {
     /// Timeline window length in simulated time.
     pub cadence: SimDuration,
@@ -65,94 +60,69 @@ pub struct TelemetryPoint {
     pub fallback_traps: u64,
 }
 
-/// Sharded memcached under per-vCPU open-loop ETC load with the timeline
-/// sampler and flight recorder armed and `plan` installed. Identical
-/// load and machine as the chaos runner; only observability differs.
-///
-/// # Panics
-///
-/// Panics if `n_vcpus` is zero or exceeds the machine's physical cores,
-/// or if no lane completes any request.
-pub fn memcached_telemetry(
-    mode: SwitchMode,
-    n_vcpus: usize,
-    rate_qps: f64,
-    requests: u64,
-    plan: FaultPlan,
-    opts: &TelemetryOpts,
-) -> TelemetryPoint {
-    let mean = SimDuration::from_ns_f64(1e9 / rate_qps);
-    let mut m = smp_machine(mode, n_vcpus);
-    m.faults = plan;
-    m.obs.causal.enable();
-    m.obs.timeline.enable_with(opts.cadence);
-    m.obs.flight.enable_with(opts.flight_k);
-    let cost = m.cost.clone();
-    let mut stats = Vec::with_capacity(n_vcpus);
-    let mut servers: Vec<RrServer> = Vec::with_capacity(n_vcpus);
-    for v in 0..n_vcpus {
-        let source = Box::new(EtcSource::new(100_000));
-        stats.push(attach_loadgen_for_seeded(
-            &mut m,
-            v,
-            ArrivalMode::OpenLoop {
-                mean_interarrival: mean,
-            },
-            requests,
-            source,
-            crate::harness::DEFAULT_LANE_SEED,
-        ));
-        let mut cfg = ServerConfig::rr_on_lane(&cost, u64::MAX, v);
-        cfg.timer_rearm_every = 4;
-        cfg.replenish_every = 2;
-        servers.push(RrServer::new(cfg, Box::new(KvService::new(KV_WARM_KEYS))));
+/// The telemetry probe: arms the causal graph (the flight buffer), the
+/// timeline sampler at `cadence` and the flight recorder; the harvest
+/// performs the `dump_on_exit` trip before reading them back.
+impl Probe for TelemetryOpts {
+    type Output = TelemetryPoint;
+
+    fn arm(&self, m: &mut Machine) {
+        m.obs.causal.enable();
+        m.obs.timeline.enable_with(self.cadence);
+        m.obs.flight.enable_with(self.flight_k);
     }
-    let horizon = SimTime::ZERO
-        + SimDuration::from_ns_f64(requests as f64 * mean.as_ns())
-        + SimDuration::from_ms(80);
-    let mut progs: Vec<&mut dyn GuestProgram> = servers
-        .iter_mut()
-        .map(|s| s as &mut dyn GuestProgram)
-        .collect();
-    m.run_smp(&mut progs, horizon)
-        .expect("telemetry run completes");
-    if opts.dump_on_exit {
-        let now = (0..n_vcpus)
-            .map(|i| m.local_now(i))
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        m.obs.flight_trip("dump_on_exit", now);
-    }
-    let point = crate::smp::collect(n_vcpus, &stats);
-    TelemetryPoint {
-        point,
-        traps: m.obs.metrics.counter_total("vm_exit")
-            + m.obs.metrics.counter_total("l0_direct_exit"),
-        windows: m.obs.timeline.len(),
-        timeline: m.obs.timeline.to_json(),
-        flight: m.obs.flight.last_dump().cloned(),
-        flight_trips: m.obs.flight.trips(),
-        watchdog_violations: m.obs.causal.total_violations(),
-        total_injected: m.faults.total_injected(),
-        fallback_traps: m.obs.metrics.counter_total("svt_trap_fallback"),
+
+    fn harvest(self, m: &mut Machine, out: &RunOutcome) -> TelemetryPoint {
+        if self.dump_on_exit {
+            let now = (0..m.n_vcpus())
+                .map(|i| m.local_now(i))
+                .max()
+                .unwrap_or(SimTime::ZERO);
+            m.obs.flight_trip("dump_on_exit", now);
+        }
+        TelemetryPoint {
+            point: out.point.clone(),
+            traps: out.traps,
+            windows: m.obs.timeline.len(),
+            timeline: m.obs.timeline.to_json(),
+            flight: m.obs.flight.last_dump().cloned(),
+            flight_trips: m.obs.flight.trips(),
+            watchdog_violations: m.obs.causal.total_violations(),
+            total_injected: m.faults.total_injected(),
+            fallback_traps: m.obs.metrics.counter_total("svt_trap_fallback"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use svt_arch::ArchId;
+    use svt_core::SwitchMode;
+    use svt_sim::FaultPlan;
+
     use super::*;
+    use crate::serve::{run, RunSpec, Serve};
+
+    /// SW SVt memcached at 2 kQPS with `faults` installed.
+    fn spec(n_vcpus: usize, requests: u64, faults: FaultPlan) -> RunSpec {
+        RunSpec {
+            n_vcpus,
+            faults,
+            ..RunSpec::new(
+                Serve::Memcached {
+                    rate_qps: 2_000.0,
+                    requests,
+                },
+                SwitchMode::SwSvt,
+            )
+        }
+    }
 
     #[test]
     fn telemetry_run_matches_plain_smp_and_samples_windows() {
-        let plain = crate::smp::memcached_smp(SwitchMode::SwSvt, 2, 2_000.0, 60);
-        let t = memcached_telemetry(
-            SwitchMode::SwSvt,
-            2,
-            2_000.0,
-            60,
-            FaultPlan::none(),
-            &TelemetryOpts::default(),
-        );
+        let spec = spec(2, 60, FaultPlan::none());
+        let plain = run(&spec, ()).0.point;
+        let t = run(&spec, TelemetryOpts::default()).1;
         // Observability never changes simulated behavior.
         assert_eq!(t.point, plain);
         assert!(t.windows > 0, "no timeline windows sampled");
@@ -168,17 +138,11 @@ mod tests {
 
     #[test]
     fn dump_on_exit_captures_a_healthy_tail() {
-        let t = memcached_telemetry(
-            SwitchMode::SwSvt,
-            1,
-            2_000.0,
-            40,
-            FaultPlan::none(),
-            &TelemetryOpts {
-                dump_on_exit: true,
-                ..TelemetryOpts::default()
-            },
-        );
+        let opts = TelemetryOpts {
+            dump_on_exit: true,
+            ..TelemetryOpts::default()
+        };
+        let t = run(&spec(1, 40, FaultPlan::none()), opts).1;
         assert_eq!(t.flight_trips, 1);
         let dump = t.flight.expect("dump-on-exit produced a dump");
         assert_eq!(dump.get("reason").unwrap().as_str(), Some("dump_on_exit"));
@@ -191,14 +155,8 @@ mod tests {
     fn forced_fallback_trips_the_recorder_with_tails() {
         // The chaos smoke's committed operating point: rate 0.05 at this
         // seed drives the policy into FallenBack.
-        let t = memcached_telemetry(
-            SwitchMode::SwSvt,
-            2,
-            2_000.0,
-            60,
-            FaultPlan::uniform(0xC4A0_5EED, 0.05),
-            &TelemetryOpts::default(),
-        );
+        let plan = FaultPlan::uniform(0xC4A0_5EED, 0.05);
+        let t = run(&spec(2, 60, plan), TelemetryOpts::default()).1;
         assert!(t.total_injected > 0);
         assert!(t.flight_trips > 0, "no forced-fallback trip");
         let dump = t.flight.expect("trip produced a dump");
@@ -218,18 +176,23 @@ mod tests {
     }
 
     #[test]
-    fn identical_configs_produce_identical_timelines() {
-        let run = || {
-            memcached_telemetry(
-                SwitchMode::SwSvt,
-                2,
-                2_000.0,
-                60,
-                FaultPlan::uniform(7, 0.05),
-                &TelemetryOpts::default(),
-            )
+    fn riscv_faulted_telemetry_samples_windows_with_silent_watchdogs() {
+        let spec = RunSpec {
+            arch: ArchId::Riscv,
+            ..spec(2, 60, FaultPlan::uniform(0xC4A0_5EED, 0.05))
         };
-        let (a, b) = (run(), run());
+        let t = run(&spec, TelemetryOpts::default()).1;
+        assert!(t.windows > 0, "no timeline windows sampled on riscv");
+        assert_eq!(t.watchdog_violations, 0);
+    }
+
+    #[test]
+    fn identical_configs_produce_identical_timelines() {
+        let spec = spec(2, 60, FaultPlan::uniform(7, 0.05));
+        let (a, b) = (
+            run(&spec, TelemetryOpts::default()).1,
+            run(&spec, TelemetryOpts::default()).1,
+        );
         assert_eq!(a.timeline.pretty(), b.timeline.pretty());
         assert_eq!(a.flight.map(|j| j.pretty()), b.flight.map(|j| j.pretty()));
     }

@@ -200,7 +200,11 @@ fn server_disk_reads_are_sequentially_ordered_before_reply() {
 fn open_loop_overload_saturates_gracefully() {
     // Offered load far beyond capacity: the server saturates, p99 blows
     // up, but the run completes and throughput plateaus.
-    let p = memcached_point(SwitchMode::Baseline, 40_000.0, 400);
+    let serve = Serve::Memcached {
+        rate_qps: 40_000.0,
+        requests: 400,
+    };
+    let p = run(&RunSpec::new(serve, SwitchMode::Baseline), ()).0.point;
     assert!(p.throughput < 20_000.0, "saturation: {}", p.throughput);
     assert!(p.p99_ns > SLA_NS, "overload exceeds SLA");
 }

@@ -3,19 +3,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> layering: no vmx dependency outside the x86 backend and bench glue"
-# The arch refactor's structural claim: hv, core, virtio and workloads
-# speak only the ISA-neutral svt-arch vocabulary. A svt_vmx reference (or
-# a svt-vmx Cargo dependency) reappearing in any of them is a layering
-# regression, even if it compiles.
-if grep -rn 'svt_vmx\|svt-vmx' \
-    crates/hv crates/core crates/virtio crates/workloads \
-    --include='*.rs' --include='*.toml'; then
-    echo "FAIL: vmx leaked back into an ISA-neutral crate (use svt_arch instead)"
-    exit 1
-fi
-echo "ok   crates/{hv,core,virtio,workloads} are vmx-free"
-
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -204,6 +191,53 @@ if not (0 < s < b):
     ok = False
 else:
     print(f"ok   exit/resume on the critical path: baseline {b} ps -> sw-svt {s} ps")
+sys.exit(0 if ok else 1)
+PY
+
+echo "==> serving smokes: fig8 and fig9 through the one serving run, tpcc profiled"
+cargo run -q -p svt-bench --bin fig8 -- --quick --json /tmp/fig8.json >/dev/null
+cargo run -q -p svt-bench --bin fig9 -- --quick --json /tmp/fig9.json >/dev/null
+cargo run -q -p svt-bench --bin profile -- tpcc 2 --smoke --json /tmp/profile_tpcc.json >/dev/null
+python3 - <<'PY'
+import json, sys
+
+ok = True
+# Fig. 8: both engines sweep every rate, and SW SVt sustains at least the
+# baseline's throughput within the SLA.
+fig8 = json.load(open("/tmp/fig8.json"))
+series = dict(fig8.get("results", [])).get("series", [])
+if len(series) != 2 or any(not s["points"] for s in series):
+    print(f"FAIL fig8: expected two non-empty series, got {len(series)}")
+    ok = False
+sla = {s["name"]: s["speedup"] for s in fig8.get("speedups", [])}
+got = sla.get("SW SVt/sla_throughput")
+if got is None or got < 1.0:
+    print(f"FAIL fig8: SW SVt SLA throughput {got} not >= baseline")
+    ok = False
+else:
+    print(f"ok   fig8: SW SVt SLA throughput {got:.2f}x baseline")
+
+# Fig. 9: SW SVt commits more TPC-C transactions per minute.
+fig9 = json.load(open("/tmp/fig9.json"))
+sp = {s["name"]: s["speedup"] for s in fig9.get("speedups", [])}
+got = sp.get("sw_svt/tpcc_tpm")
+if got is None or got <= 1.0:
+    print(f"FAIL fig9: sw_svt/tpcc_tpm speedup {got} not > 1.0")
+    ok = False
+else:
+    print(f"ok   fig9: sw_svt/tpcc_tpm {got:.2f}x")
+
+# The tpcc profile: critical paths present, watchdogs silent.
+results = dict(json.load(open("/tmp/profile_tpcc.json")).get("results", []))
+for cfg in ("tpcc/baseline", "tpcc/sw_svt"):
+    folded = results.get(f"{cfg}/folded_stacks", "")
+    wd = results.get(f"{cfg}/watchdog_violations", -1)
+    if not folded.strip() or wd != 0:
+        print(f"FAIL {cfg}: {len(folded.strip().splitlines())} folded buckets, "
+              f"{wd} watchdog violations")
+        ok = False
+    else:
+        print(f"ok   {cfg}: {results[f'{cfg}/requests']} requests profiled, 0 watchdogs")
 sys.exit(0 if ok else 1)
 PY
 

@@ -6,12 +6,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use svt::arch::{IcrCommand, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
 use svt::core::{smp_machine, SwitchMode};
 use svt::hv::{GuestCtx, GuestOp, GuestProgram};
 use svt::obs::{fold_paths, CausalGraph, WATCHDOGS};
 use svt::sim::{DetRng, SimDuration, SimTime};
-use svt::vmx::{IcrCommand, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
-use svt::workloads::memcached_smp_profiled;
+use svt::workloads::{run, ProfileProbe, RunSpec, Serve};
 
 /// A guest issuing a randomized mix of trapping and native operations,
 /// wrapping them in causal request anchors and remembering each
@@ -237,8 +237,18 @@ fn watchdog_names_are_registered() {
 #[test]
 fn sw_svt_critical_path_has_less_exit_resume_than_baseline() {
     const EXIT_RESUME: [&str; 4] = ["l2_exit", "l2_resume", "l1_entry", "l1_exit"];
-    let (_, base) = memcached_smp_profiled(SwitchMode::Baseline, 2, 2_000.0, 60);
-    let (_, sw) = memcached_smp_profiled(SwitchMode::SwSvt, 2, 2_000.0, 60);
+    let profile = |mode| {
+        let serve = Serve::Memcached {
+            rate_qps: 2_000.0,
+            requests: 60,
+        };
+        let spec = RunSpec {
+            n_vcpus: 2,
+            ..RunSpec::new(serve, mode)
+        };
+        run(&spec, ProfileProbe).1
+    };
+    let (base, sw) = (profile(SwitchMode::Baseline), profile(SwitchMode::SwSvt));
     assert!(!base.folded.is_empty() && !sw.folded.is_empty());
     assert!(base.events_dropped == 0 && sw.events_dropped == 0);
     let sum = |prof: &svt::workloads::CausalProfile| -> u64 {

@@ -4,7 +4,7 @@
 use svt::core::SwitchMode;
 use svt::sim::SimDuration;
 use svt::workloads::{
-    memcached_point, rr_arrival, rr_machine, EchoService, FixedSource, Request, RrServer,
+    rr_arrival, rr_machine, run, EchoService, FixedSource, Request, RrServer, RunSpec, Serve,
     ServerConfig,
 };
 
@@ -39,10 +39,14 @@ fn vmcs_access_share_is_small_with_shadowing() {
 fn memcached_l0_time_dominated_by_ept_misconfig() {
     // § 6.3.1: "L0 spends 4.8%-19.3% of the overall time serving
     // EPT_MISCONFIG traps ... and 0.5%-4.6% serving MSR_WRITE."
-    let p = memcached_point(SwitchMode::Baseline, 6_000.0, 200);
+    let serve = Serve::Memcached {
+        rate_qps: 6_000.0,
+        requests: 200,
+    };
+    let p = run(&RunSpec::new(serve, SwitchMode::Baseline), ()).0.point;
     assert!(p.throughput > 0.0);
-    // Re-run to inspect the clock (memcached_point consumes its machine, so
-    // rebuild the scenario with the same parameters).
+    // Re-run to inspect the clock (`run` consumes its machine, so rebuild
+    // the scenario with the same parameters).
     let source = Box::new(svt::workloads::EtcSource::new(100_000));
     let cost = svt::sim::CostModel::default();
     let (mut m, _stats) = rr_machine(
@@ -138,7 +142,7 @@ impl IpiPingPong {
 
 impl svt::hv::GuestProgram for IpiPingPong {
     fn step(&mut self, _ctx: &mut svt::hv::GuestCtx<'_>) -> svt::hv::GuestOp {
-        use svt::vmx::{IcrCommand, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
+        use svt::arch::{IcrCommand, MSR_X2APIC_EOI, MSR_X2APIC_ICR, VECTOR_IPI};
         if self.eoi_owed > 0 {
             self.eoi_owed -= 1;
             return svt::hv::GuestOp::MsrWrite {
@@ -161,7 +165,7 @@ impl svt::hv::GuestProgram for IpiPingPong {
     }
 
     fn interrupt(&mut self, vector: u8, _ctx: &mut svt::hv::GuestCtx<'_>) {
-        if vector == svt::vmx::VECTOR_IPI {
+        if vector == svt::arch::VECTOR_IPI {
             self.received += 1;
             self.awaiting = false;
             self.eoi_owed += 1;
