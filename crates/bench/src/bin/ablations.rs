@@ -118,10 +118,7 @@ fn main() {
             Json::Arr(
                 rows.into_iter()
                     .map(|(label, us)| {
-                        Json::obj([
-                            ("label", Json::from(label.as_str())),
-                            ("cpuid_us", Json::Num(us)),
-                        ])
+                        Json::obj([("label", Json::from(label)), ("cpuid_us", Json::Num(us))])
                     })
                     .collect(),
             ),

@@ -39,7 +39,7 @@ fn main() {
         );
         cell_rows.push(Json::obj([
             ("mechanism", Json::from(c.mechanism.label())),
-            ("placement", Json::from(c.placement.to_string().as_str())),
+            ("placement", Json::from(c.placement.to_string())),
             ("workload_increments", Json::from(c.workload_increments)),
             ("latency_ns", Json::Num(c.latency_ns)),
             ("round_ns", Json::Num(c.round_ns)),

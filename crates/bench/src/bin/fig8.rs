@@ -48,7 +48,7 @@ fn main() {
             ]));
         }
         series_rows.push(Json::obj([
-            ("name", Json::from(series.name.as_str())),
+            ("name", Json::from(series.name.clone())),
             ("points", Json::Arr(points)),
         ]));
         within.push((

@@ -149,7 +149,7 @@ fn main() {
                         .iter()
                         .map(|d| {
                             Json::obj([
-                                ("name", Json::Str(d.name.clone())),
+                                ("name", Json::from(d.name.clone())),
                                 ("metric", Json::from(d.metric)),
                                 ("baseline", Json::Num(d.baseline)),
                                 ("fresh", Json::Num(d.fresh)),

@@ -89,7 +89,7 @@ extern "C" fn on_sigint(_sig: i32) {
 /// Writes the most recent flight dump (or a minimal crash-context
 /// document) to the configured path, atomically. Never panics — a guard
 /// that panics while the process dies would mask the original failure.
-fn write_crash_dump(reason: &str, detail: &str) {
+fn write_crash_dump(reason: &'static str, detail: &str) {
     let Some(path) = CRASH_DUMP_PATH
         .lock()
         .unwrap_or_else(|e| e.into_inner())
@@ -106,9 +106,9 @@ fn write_crash_dump(reason: &str, detail: &str) {
         Some(dump) => dump,
         None => svt_obs::Json::obj([
             ("kind", svt_obs::Json::from("svt-crash-context")),
-            ("bin", svt_obs::Json::Str(bin)),
+            ("bin", svt_obs::Json::from(bin)),
             ("reason", svt_obs::Json::from(reason)),
-            ("detail", svt_obs::Json::Str(detail.to_string())),
+            ("detail", svt_obs::Json::from(detail.to_string())),
             (
                 "note",
                 svt_obs::Json::from(

@@ -85,11 +85,10 @@ pub fn machine_json() -> Json {
 /// The calibrated cost model as a JSON object of named fields (all in
 /// nanoseconds, except raw counts).
 pub fn cost_model_json(cost: &CostModel) -> Json {
-    Json::Obj(
+    Json::obj(
         cost.named_fields()
             .into_iter()
-            .map(|(name, v)| (name.to_string(), Json::Num(v)))
-            .collect(),
+            .map(|(name, v)| (name, Json::Num(v))),
     )
 }
 

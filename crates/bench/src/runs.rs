@@ -933,7 +933,7 @@ pub fn timeline_report(cells: &[TimelineCell], seed: u64, cadence: SimDuration) 
                 .map(|c| {
                     let p = &c.point;
                     Json::obj([
-                        ("name", Json::Str(c.name.clone())),
+                        ("name", Json::from(c.name.clone())),
                         ("traps", Json::from(p.traps)),
                         ("windows", Json::from(p.windows as u64)),
                         ("throughput_rps", Json::Num(p.point.throughput)),
@@ -962,25 +962,18 @@ pub fn timeline_report(cells: &[TimelineCell], seed: u64, cadence: SimDuration) 
 /// The merged timeline export the `--timeline` flag writes: one columnar
 /// timeline per cell, keyed by cell name.
 pub fn timelines_json(cells: &[TimelineCell]) -> Json {
-    Json::Obj(
+    Json::obj(
         cells
             .iter()
-            .map(|c| (c.name.clone(), c.point.timeline.clone()))
-            .collect(),
+            .map(|c| (c.name.clone(), c.point.timeline.clone())),
     )
 }
 
 /// One campaign cell as the report's JSON object.
 pub fn fault_cell_json(mode: SwitchMode, rate: f64, p: &ChaosPoint) -> Json {
-    let pairs = |kv: &[(&'static str, u64)]| {
-        Json::obj(
-            kv.iter()
-                .map(|&(k, n)| (k, Json::from(n)))
-                .collect::<Vec<_>>(),
-        )
-    };
+    let pairs = |kv: &[(&'static str, u64)]| Json::obj(kv.iter().map(|&(k, n)| (k, Json::from(n))));
     Json::obj([
-        ("engine", Json::Str(mode.label().to_string())),
+        ("engine", Json::from(mode.label())),
         ("fault_rate", Json::Num(rate)),
         ("seed", Json::from(p.seed)),
         ("throughput_rps", Json::Num(p.point.throughput)),

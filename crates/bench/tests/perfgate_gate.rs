@@ -24,7 +24,7 @@ fn doctor_2x_faster(doc: &Json) -> Json {
                 pairs
                     .iter()
                     .map(|(k, v)| {
-                        let v = match (k.as_str(), v) {
+                        let v = match (k.as_ref(), v) {
                             (k2, Json::Num(n)) if k2.starts_with("ns_per_event") => {
                                 Json::Num(n / 2.0)
                             }

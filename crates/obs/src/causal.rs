@@ -251,6 +251,9 @@ pub struct CausalGraph {
     events: VecDeque<CausalEvent>,
     first_id: u64,
     recorded: u64,
+    /// One past the highest vCPU any event was recorded on; never shrinks,
+    /// so every retained event's lane is below it.
+    lanes: usize,
     // Dense per-vCPU program-order tails: consulted on every record, so
     // indexed by vcpu rather than tree-searched.
     last_on_vcpu: Vec<Option<EventId>>,
@@ -295,6 +298,7 @@ impl CausalGraph {
             events: VecDeque::new(),
             first_id: 1,
             recorded: 0,
+            lanes: 0,
             last_on_vcpu: Vec::new(),
             cross: VecDeque::new(),
             pending_ipi: BTreeMap::new(),
@@ -402,9 +406,15 @@ impl CausalGraph {
         self.events.get(idx as usize)
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &CausalEvent> {
+    /// The retained events, oldest first (`.rev()` walks newest first).
+    pub fn events(&self) -> impl DoubleEndedIterator<Item = &CausalEvent> {
         self.events.iter()
+    }
+
+    /// One past the highest vCPU lane any event was recorded on, evicted
+    /// events included: an upper bound on the lanes of retained events.
+    pub fn lanes(&self) -> usize {
+        self.lanes
     }
 
     fn push(
@@ -418,6 +428,7 @@ impl CausalGraph {
         let id = EventId(self.next_id);
         self.next_id += 1;
         self.recorded += 1;
+        self.lanes = self.lanes.max(vcpu as usize + 1);
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.first_id += 1;

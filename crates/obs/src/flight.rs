@@ -7,9 +7,9 @@
 //! already retains the last few thousand events allocation-free, so
 //! arming the recorder adds **zero** hot-path recording cost on top of
 //! causal tracing. A trip only pays at dump time: it walks the retained
-//! ring, extracts the last K events per vCPU together with the latest
+//! ring backwards for the last K events per vCPU, takes the latest
 //! protocol state pushed by the reflector, and serializes a structured
-//! JSON crash report.
+//! JSON crash report of those K·vCPUs events.
 //!
 //! Three things trip it:
 //! - an invariant watchdog violation surfacing in the causal graph
@@ -26,7 +26,7 @@ use std::path::PathBuf;
 
 use svt_sim::SimTime;
 
-use crate::causal::CausalGraph;
+use crate::causal::{CausalEvent, CausalGraph};
 use crate::json::Json;
 use crate::registry::MetricsRegistry;
 
@@ -177,63 +177,45 @@ impl FlightRecorder {
         // trip after a watchdog trip must not double-report.
         self.seen_violations = self.seen_violations.max(causal.total_violations());
         let k = self.k();
-        // Per-vCPU tails out of the retained ring (time-ordered already).
-        let n_vcpus = causal
-            .events()
-            .map(|e| e.vcpu as usize + 1)
-            .max()
-            .unwrap_or(0)
-            .max(self.proto.len());
-        let mut tails: Vec<Vec<Json>> = vec![Vec::new(); n_vcpus];
-        for e in causal.events() {
-            let preds: Vec<Json> = e
-                .preds
-                .as_slice()
-                .iter()
-                .map(|p| Json::from(p.raw()))
-                .collect();
-            let lane = &mut tails[e.vcpu as usize];
-            if lane.len() == k {
-                lane.remove(0);
-            }
-            lane.push(Json::obj([
-                ("id", Json::from(e.id.raw())),
-                ("phase", Json::from(e.phase)),
-                ("level", Json::from(e.level.name())),
-                ("at_ps", Json::from(e.at.as_ps())),
-                ("preds", Json::Arr(preds)),
-            ]));
-        }
+        let tails = lane_tails(causal, k, self.proto.len());
         let vcpus: Vec<Json> = tails
             .into_iter()
             .enumerate()
-            .map(|(v, events)| {
+            .map(|(v, tail)| {
                 let proto = self.proto.get(v).copied().unwrap_or_default();
+                let events = tail.iter().rev().map(|e| {
+                    Json::obj([
+                        ("id", Json::from(e.id.raw())),
+                        ("phase", Json::from(e.phase)),
+                        ("level", Json::from(e.level.name())),
+                        ("at_ps", Json::from(e.at.as_ps())),
+                        (
+                            "preds",
+                            Json::arr(e.preds.iter().map(|p| Json::from(p.raw()))),
+                        ),
+                    ])
+                });
                 Json::obj([
                     ("vcpu", Json::from(v)),
                     ("health", Json::from(proto.health)),
                     ("ring_depth", Json::from(proto.ring_depth)),
                     ("svt_blocked", Json::from(proto.blocked)),
-                    ("events", Json::Arr(events)),
+                    ("events", Json::arr(events)),
                 ])
             })
             .collect();
-        let watchdogs: Vec<(String, Json)> = causal
-            .violations()
-            .map(|(name, n)| (name.to_string(), Json::from(n)))
-            .collect();
-        let counters: Vec<(String, Json)> = metrics
+        let watchdogs = causal.violations().map(|(name, n)| (name, Json::from(n)));
+        let counters = metrics
             .iter_counters_sorted()
-            .map(|(key, n)| (key.to_string(), Json::from(n)))
-            .collect();
+            .map(|(key, n)| (key.to_string(), Json::from(n)));
         let dump = Json::obj([
             ("kind", Json::from("svt-flight-dump")),
-            ("reason", Json::from(reason)),
+            ("reason", Json::from(reason.to_string())),
             ("at_ps", Json::from(now.as_ps())),
             ("trip", Json::from(self.trips)),
             ("k", Json::from(k)),
             ("vcpus", Json::Arr(vcpus)),
-            ("watchdogs", Json::Obj(watchdogs)),
+            ("watchdogs", Json::obj(watchdogs)),
             (
                 "causal",
                 Json::obj([
@@ -241,10 +223,11 @@ impl FlightRecorder {
                     ("dropped", Json::from(causal.dropped())),
                 ]),
             ),
-            ("counters", Json::Obj(counters)),
+            ("counters", Json::obj(counters)),
         ]);
+        let text = dump.pretty();
         if let Some(path) = &self.dump_path {
-            if let Err(e) = svt_sim::snapshot::atomic_write(path, dump.pretty().as_bytes()) {
+            if let Err(e) = svt_sim::snapshot::atomic_write(path, text.as_bytes()) {
                 let msg = format!("flight dump write to {} failed: {e}", path.display());
                 eprintln!("svt-obs: {msg}");
                 if self.write_error.is_none() {
@@ -252,9 +235,41 @@ impl FlightRecorder {
                 }
             }
         }
-        publish_global(&dump);
+        publish_text(text);
         self.last_dump = Some(dump);
     }
+}
+
+/// Each lane's last `k` retained events, newest first, for lanes
+/// `0..max(highest vCPU retained + 1, min_lanes)`. Walks the ring
+/// backwards and stops once every lane the graph has seen holds `k`
+/// events, so a trip touches O(k·lanes) events however long the ring is;
+/// a lane with fewer than `k` retained events makes it walk the whole
+/// ring, still without allocating per event.
+fn lane_tails(causal: &CausalGraph, k: usize, min_lanes: usize) -> Vec<Vec<&CausalEvent>> {
+    let lanes = causal.lanes();
+    let mut tails: Vec<Vec<&CausalEvent>> = vec![Vec::new(); lanes];
+    let mut full = 0;
+    for e in causal.events().rev() {
+        let tail = &mut tails[e.vcpu as usize];
+        if tail.len() < k {
+            tail.push(e);
+            if tail.len() == k {
+                full += 1;
+                if full == lanes {
+                    break;
+                }
+            }
+        }
+    }
+    // Lanes past the highest one with a retained event are dropped unless
+    // the protocol state names them.
+    let seen = tails
+        .iter()
+        .rposition(|t| !t.is_empty())
+        .map_or(0, |v| v + 1);
+    tails.resize_with(seen.max(min_lanes), Vec::new);
+    tails
 }
 
 /// The most recent flight dump produced by *any* recorder in the
@@ -268,7 +283,10 @@ static LAST_GLOBAL_DUMP: std::sync::Mutex<Option<String>> = std::sync::Mutex::ne
 /// [`latest_global_dump`]). Called on every trip; harmless to call
 /// directly with a synthesized dump.
 pub fn publish_global(dump: &Json) {
-    let text = dump.pretty();
+    publish_text(dump.pretty());
+}
+
+fn publish_text(text: String) {
     let mut guard = LAST_GLOBAL_DUMP.lock().unwrap_or_else(|e| e.into_inner());
     *guard = Some(text);
 }

@@ -299,35 +299,30 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> Json {
         let counters = self
             .iter_counters_sorted()
-            .map(|(k, n)| (k.to_string(), Json::from(n)))
-            .collect::<Vec<_>>();
+            .map(|(k, n)| (k.to_string(), Json::from(n)));
         let gauges = self
             .iter_gauges_sorted()
-            .map(|(k, v)| (k.to_string(), Json::Num(v)))
-            .collect::<Vec<_>>();
-        let hists = self
-            .iter_histograms_sorted()
-            .map(|(k, h)| {
-                let [p50, p90, p99, p999] = h.summary();
-                (
-                    k.to_string(),
-                    Json::obj([
-                        ("count", Json::from(h.count())),
-                        ("min", Json::from(h.min())),
-                        ("max", Json::from(h.max())),
-                        ("mean", Json::Num(h.mean())),
-                        ("p50", Json::from(p50)),
-                        ("p90", Json::from(p90)),
-                        ("p99", Json::from(p99)),
-                        ("p999", Json::from(p999)),
-                    ]),
-                )
-            })
-            .collect::<Vec<_>>();
+            .map(|(k, v)| (k.to_string(), Json::Num(v)));
+        let hists = self.iter_histograms_sorted().map(|(k, h)| {
+            let [p50, p90, p99, p999] = h.summary();
+            (
+                k.to_string(),
+                Json::obj([
+                    ("count", Json::from(h.count())),
+                    ("min", Json::from(h.min())),
+                    ("max", Json::from(h.max())),
+                    ("mean", Json::Num(h.mean())),
+                    ("p50", Json::from(p50)),
+                    ("p90", Json::from(p90)),
+                    ("p99", Json::from(p99)),
+                    ("p999", Json::from(p999)),
+                ]),
+            )
+        });
         Json::obj([
-            ("counters", Json::Obj(counters)),
-            ("gauges", Json::Obj(gauges)),
-            ("histograms", Json::Obj(hists)),
+            ("counters", Json::obj(counters)),
+            ("gauges", Json::obj(gauges)),
+            ("histograms", Json::obj(hists)),
         ])
     }
 }

@@ -116,7 +116,7 @@ impl RunReport {
             .map(|p| {
                 Json::obj([
                     ("part", Json::from(p.part)),
-                    ("label", Json::from(p.label.as_str())),
+                    ("label", Json::from(p.label.clone())),
                     ("time_us", Json::Num(p.time_us)),
                     ("paper_us", p.paper_us.map(Json::Num).unwrap_or(Json::Null)),
                 ])
@@ -127,7 +127,7 @@ impl RunReport {
             .iter()
             .map(|e| {
                 Json::obj([
-                    ("reason", Json::from(e.reason.as_str())),
+                    ("reason", Json::from(e.reason.clone())),
                     ("time_ns", Json::Num(e.time_ns)),
                     ("count", Json::from(e.count)),
                 ])
@@ -138,7 +138,7 @@ impl RunReport {
             .iter()
             .map(|s| {
                 Json::obj([
-                    ("name", Json::from(s.name.as_str())),
+                    ("name", Json::from(s.name.clone())),
                     ("speedup", Json::Num(s.speedup)),
                 ])
             })
@@ -148,18 +148,18 @@ impl RunReport {
             .iter()
             .map(|c| {
                 Json::obj([
-                    ("config", Json::from(c.config.as_str())),
+                    ("config", Json::from(c.config.clone())),
                     ("vcpu", Json::from(c.vcpu)),
-                    ("level", Json::from(c.level.as_str())),
-                    ("phase", Json::from(c.phase.as_str())),
+                    ("level", Json::from(c.level.clone())),
+                    ("phase", Json::from(c.phase.clone())),
                     ("ps", Json::from(c.ps)),
                 ])
             })
             .collect::<Vec<_>>();
         Json::obj([
             ("schema_version", Json::from(REPORT_SCHEMA_VERSION)),
-            ("bench", Json::from(self.name.as_str())),
-            ("title", Json::from(self.title.as_str())),
+            ("bench", Json::from(self.name.clone())),
+            ("title", Json::from(self.title.clone())),
             ("machine", self.machine.clone().unwrap_or(Json::Null)),
             ("cost_model", self.cost_model.clone().unwrap_or(Json::Null)),
             ("parts", Json::Arr(parts)),
@@ -168,12 +168,7 @@ impl RunReport {
             ("critical_path", Json::Arr(critical_path)),
             (
                 "results",
-                Json::Obj(
-                    self.results
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect(),
-                ),
+                Json::obj(self.results.iter().map(|(k, v)| (k.clone(), v.clone()))),
             ),
             ("metrics", self.metrics.clone().unwrap_or(Json::Null)),
             ("hostprof", self.hostprof.clone().unwrap_or(Json::Null)),

@@ -26,7 +26,7 @@
 //!
 //! [`DegradeFsm`]: https://docs.rs/ (svt-core's degradation policy)
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use svt_sim::{CostPart, FnvHashMap, SimDuration, SimTime};
 
@@ -379,41 +379,26 @@ impl Timeline {
                             .collect(),
                     ),
                 )
-            })
-            .collect::<Vec<_>>();
-        let keys: BTreeSet<MetricKey> = self
-            .rows
-            .iter()
-            .flat_map(|r| r.counters.iter().map(|&(k, _)| k))
-            .collect();
-        let counters = keys
-            .iter()
-            .map(|key| {
-                (
-                    key.to_string(),
-                    Json::Arr(
-                        self.rows
-                            .iter()
-                            .map(|r| {
-                                let v = r
-                                    .counters
-                                    .iter()
-                                    .find(|(k, _)| k == key)
-                                    .map_or(0, |&(_, n)| n);
-                                Json::from(v)
-                            })
-                            .collect(),
-                    ),
-                )
-            })
-            .collect::<Vec<_>>();
+            });
+        // Counter columns in key order, filled in one pass over the rows.
+        let mut columns: BTreeMap<MetricKey, Vec<Json>> = BTreeMap::new();
+        for (w, row) in self.rows.iter().enumerate() {
+            for &(key, n) in &row.counters {
+                columns
+                    .entry(key)
+                    .or_insert_with(|| vec![Json::Int(0); self.rows.len()])[w] = Json::from(n);
+            }
+        }
+        let counters = columns
+            .into_iter()
+            .map(|(key, col)| (key.to_string(), Json::Arr(col)));
         Json::obj([
             ("cadence_ps", Json::from(self.cadence.as_ps())),
             ("windows", Json::from(self.rows.len())),
             ("dropped", Json::from(self.dropped)),
             ("t_ps", Json::Arr(t_ps)),
-            ("parts_ps", Json::Obj(parts)),
-            ("counters", Json::Obj(counters)),
+            ("parts_ps", Json::obj(parts)),
+            ("counters", Json::obj(counters)),
             (
                 "ring_depth",
                 Json::Arr(self.rows.iter().map(|r| Json::from(r.ring_depth)).collect()),

@@ -376,6 +376,25 @@ if ! cmp -s /tmp/tl_j1.json /tmp/tl_j4.json; then
 fi
 echo "ok   timeline --jobs 1 and --jobs 4 exports are byte-identical"
 
+echo "==> export byte-identity: trace, flight dumps and timelines against committed hashes"
+# crates/bench/tests/golden/exports.sha256 holds the sha256 of each export
+# as the serializer wrote it before the one-pass writer and the K-tail
+# flight dump; a single byte of drift in any of them fails here.
+EXPORTS=/tmp/svt_exports
+GOLDEN_HASHES="$PWD/crates/bench/tests/golden/exports.sha256"
+rm -rf "$EXPORTS"; mkdir -p "$EXPORTS"
+cargo run -q -p svt-bench --bin profile -- all 2 --smoke \
+    --trace "$EXPORTS/profile_all_trace.json" >/dev/null
+cargo run -q -p svt-bench --bin faults -- --smoke \
+    --dump "$EXPORTS/faults_flight_dump.json" --timeline "$EXPORTS/faults_timeline.json" >/dev/null
+cargo run -q -p svt-bench --bin timeline -- --smoke \
+    --timeline "$EXPORTS/timeline_timeline.json" --dump "$EXPORTS/timeline_flight_dump.json" >/dev/null
+if ! (cd "$EXPORTS" && sha256sum --strict --quiet -c "$GOLDEN_HASHES"); then
+    echo "FAIL: an export differs from its committed hash"
+    exit 1
+fi
+echo "ok   $(wc -l < "$GOLDEN_HASHES") exports byte-identical to their committed hashes"
+
 echo "==> hostprof smoke: attribution coverage and alloc determinism"
 # Release build: the coverage claim is about the optimized simulator, and
 # the committed BENCH_hostprof.json baseline is release-built too.
