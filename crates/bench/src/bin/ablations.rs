@@ -8,17 +8,13 @@ use svt_bench::{
 use svt_core::{
     machine_with, BypassReflector, HwSvtReflector, SwSvtReflector, SwitchMode, WaitMode,
 };
-use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
+use svt_hv::{GuestOp, Level, Machine, MachineConfig};
 use svt_obs::{Json, RunReport};
-use svt_sim::{CostModel, Placement, SimDuration};
+use svt_sim::{CostModel, Placement};
 
 fn cpuid_us(m: &mut Machine, iters: u64) -> f64 {
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).expect("cpuid runs");
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, iters, 0, SimDuration::ZERO);
-    m.run(&mut prog).expect("cpuid runs");
-    m.clock.since_snapshot(&base).busy_time().as_us() / iters as f64
+    let d = m.measure(GuestOp::Cpuid, iters).expect("cpuid runs");
+    d.busy_time().as_us() / iters as f64
 }
 
 fn main() {

@@ -53,14 +53,14 @@ fn main() {
     );
     rule();
 
-    let ckpt = cli.checkpoint("faults", seed);
+    let ckpt = cli.checkpoint();
     let cells = faults_campaign(
         &FAULTS_MODES,
         rates,
         requests,
         seed,
         cli.jobs(),
-        ckpt.as_ref().map(|c| (c, cli.resume())),
+        ckpt.as_ref(),
     );
     for chunk in cells.chunks(rates.len()) {
         for c in chunk {

@@ -28,9 +28,8 @@ fn main() {
         return riscv_main(&cli);
     }
     print_header("Fig. 6 - execution time of a cpuid instruction");
-    let ckpt = cli.checkpoint("fig6", cli.seed_or(svt_workloads::DEFAULT_LANE_SEED));
-    let grid =
-        svt_workloads::fig6_grid_ckpt(200, cli.jobs(), ckpt.as_ref().map(|c| (c, cli.resume())));
+    let ckpt = cli.checkpoint();
+    let grid = svt_workloads::fig6_grid(ArchId::X86, 200, cli.jobs(), ckpt.as_ref());
     println!(
         "{:<10}{:>12}{:>14}{:>16}",
         "System", "Time [us]", "Speedup", "Paper speedup"
@@ -65,14 +64,8 @@ fn main() {
 fn riscv_main(cli: &BenchCli) {
     print_header("Fig. 6 (riscv) - trap-and-emulate latency on the H-extension backend");
     let seed = cli.seed_or(svt_workloads::DEFAULT_LANE_SEED);
-    let ckpt = cli.checkpoint("fig6", seed);
-    let grid = riscv_grid(
-        200,
-        60,
-        seed,
-        cli.jobs(),
-        ckpt.as_ref().map(|c| (c, cli.resume())),
-    );
+    let ckpt = cli.checkpoint();
+    let grid = riscv_grid(200, 60, seed, cli.jobs(), ckpt.as_ref());
     println!("{:<10}{:>12}{:>10}", "System", "Time [us]", "Speedup");
     rule();
     for b in &grid.bars {

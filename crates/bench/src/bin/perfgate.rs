@@ -25,6 +25,7 @@
 use std::path::PathBuf;
 use std::process::exit;
 
+use svt_arch::ArchId;
 use svt_bench::{
     delta_table, gate_fig6, gate_hostprof, gate_passes, gate_selfperf, hostprof_campaign,
     hostprof_report, print_header, rule, selfperf_report, selfperf_rows, BenchCli, GateBands,
@@ -104,9 +105,11 @@ fn main() {
     let base_fig6 = load("fig6", &fig6_path);
     let base_hostprof = load("hostprof", &hostprof_path);
 
-    let rows = selfperf_rows(smoke, seed, cli.jobs);
+    let rows = selfperf_rows(smoke, seed, cli.jobs, None);
     let fresh_selfperf = selfperf_report(&rows, seed, cli.jobs()).to_json();
-    let fresh_fig6 = svt_bench::fig6_report(&fig6_grid(FIG6_ITERS, cli.jobs()), seed).to_json();
+    let fresh_fig6 =
+        svt_bench::fig6_report(&fig6_grid(ArchId::X86, FIG6_ITERS, cli.jobs(), None), seed)
+            .to_json();
     let arch = cli.arch();
     let hostprof_run = hostprof_campaign(arch, HOSTPROF_REQUESTS, seed, cli.jobs);
     let fresh_hostprof = hostprof_report(&hostprof_run, arch, seed).to_json();

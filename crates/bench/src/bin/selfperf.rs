@@ -23,8 +23,8 @@
 //! gate re-runs exactly the grids the baseline was produced from.
 
 use svt_bench::{
-    guard, hostprof_begin, hostprof_finish, print_header, rule, selfperf_report,
-    selfperf_rows_ckpt, BenchCli,
+    guard, hostprof_begin, hostprof_finish, print_header, rule, selfperf_report, selfperf_rows,
+    BenchCli,
 };
 use svt_workloads::DEFAULT_LANE_SEED;
 
@@ -46,13 +46,8 @@ fn main() {
     println!("host parallelism {host}, comparing --jobs 1 vs --jobs {jobs_n} (clamped per grid)");
     rule();
 
-    let ckpt = cli.checkpoint("selfperf", seed);
-    let rows = selfperf_rows_ckpt(
-        smoke,
-        seed,
-        cli.jobs,
-        ckpt.as_ref().map(|c| (c, cli.resume())),
-    );
+    let ckpt = cli.checkpoint();
+    let rows = selfperf_rows(smoke, seed, cli.jobs, ckpt.as_ref());
 
     println!(
         "{:<10}{:>6}{:>6}{:>9}{:>13}{:>13}{:>12}{:>11}{:>9}",

@@ -40,7 +40,7 @@ fn main() {
             print_header("SMP scaling (riscv) - sharded memcached on the H-extension backend")
         }
     }
-    let ckpt = cli.checkpoint("smp", seed);
+    let ckpt = cli.checkpoint();
     let series = smp_series(
         arch,
         &SMP_VCPU_COUNTS,
@@ -48,7 +48,7 @@ fn main() {
         SMP_REQUESTS,
         seed,
         cli.jobs(),
-        ckpt.as_ref().map(|c| (c, cli.resume())),
+        ckpt.as_ref(),
     );
     println!(
         "{:<10}{:>8}{:>14}{:>14}{:>12}",

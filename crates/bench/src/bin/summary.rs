@@ -2,6 +2,7 @@
 //! reproduction's measurement. Uses reduced iteration counts; the
 //! per-figure binaries produce the full-fidelity versions.
 
+use svt_arch::ArchId;
 use svt_bench::{
     cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, BenchCli,
 };
@@ -9,7 +10,7 @@ use svt_core::SwitchMode;
 use svt_hv::Level;
 use svt_obs::{Json, RunReport, SpeedupRow};
 use svt_sim::CostModel;
-use svt_workloads::{run, RunSpec, Serve};
+use svt_workloads::{run, CpuidSpec, RunSpec, Serve};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -24,8 +25,9 @@ fn main() {
     report.results.push(("seed".to_string(), Json::from(seed)));
 
     // Table 1 / Fig. 6.
-    let t1: f64 = svt_workloads::table1(50).iter().map(|r| r.time_us).sum();
-    let bars = svt_workloads::fig6(50);
+    let grid = svt_workloads::fig6_grid(ArchId::X86, 50, 1, None);
+    let t1: f64 = grid.table1.iter().map(|r| r.time_us).sum();
+    let bars = grid.bars;
     println!("Table 1  nested cpuid total        paper 10.40us   measured {t1:.2}us");
     report
         .results
@@ -124,9 +126,20 @@ fn main() {
         ]),
     ));
     rule();
-    let l0 = svt_workloads::cpuid_us(Level::L0, SwitchMode::Baseline, 20);
-    let l1 = svt_workloads::cpuid_us(Level::L1, SwitchMode::Baseline, 20);
-    let l2 = svt_workloads::cpuid_us(Level::L2, SwitchMode::Baseline, 20);
+    let cpuid_us = |level| {
+        let spec = CpuidSpec {
+            level,
+            mode: SwitchMode::Baseline,
+            arch: ArchId::X86,
+            iters: 20,
+        };
+        svt_workloads::run_cpuid(&spec).us()
+    };
+    let (l0, l1, l2) = (
+        cpuid_us(Level::L0),
+        cpuid_us(Level::L1),
+        cpuid_us(Level::L2),
+    );
     println!("Native L0 cpuid {l0:.2}us | single-level L1 {l1:.2}us | nested L2 {l2:.2}us");
     report.results.push((
         "cpuid_us_by_level".to_string(),

@@ -1,11 +1,15 @@
 //! Regenerates Table 1: the time breakdown of one `cpuid` in a nested VM.
 
+use svt_arch::ArchId;
 use svt_bench::{
     cost_model_json, hostprof_begin, hostprof_finish, machine_json, print_header, rule, vs_paper,
     BenchCli,
 };
+use svt_core::SwitchMode;
+use svt_hv::Level;
 use svt_obs::{Json, PartRow, RunReport};
 use svt_sim::CostModel;
+use svt_workloads::{run_cpuid, CpuidSpec};
 
 fn main() {
     let cli = BenchCli::parse();
@@ -13,7 +17,13 @@ fn main() {
     hostprof_begin(&cli);
     cli.require_arch_x86("table1");
     print_header("Table 1 - cpuid breakdown in a nested VM (baseline)");
-    let rows = svt_workloads::table1(200);
+    let rows = run_cpuid(&CpuidSpec {
+        level: Level::L2,
+        mode: SwitchMode::Baseline,
+        arch: ArchId::X86,
+        iters: 200,
+    })
+    .table1();
     println!(
         "{:<4}{:<26}{:>34}   {:>7}",
         "Part", "Stage", "Time [us]", "Perc."

@@ -165,26 +165,22 @@ impl BenchCli {
         self.flag("--resume")
     }
 
-    /// Opens the campaign checkpoint requested with `--checkpoint-dir`.
-    /// The campaign tag folds the bench name, seed and ISA backend —
-    /// deliberately *not* `--jobs`, since resume must be byte-identical
-    /// at any worker count — so a directory can never silently satisfy a
-    /// different campaign's cells. Returns `None` when no checkpoint
+    /// Opens the campaign checkpoint requested with `--checkpoint-dir`,
+    /// replaying its journal when `--resume` was given. Each cell is
+    /// sealed with a tag derived from its own spec inside the campaign
+    /// (see `svt_sim::checkpoint`), so the directory can never satisfy a
+    /// cell of a different grid. Returns `None` when no checkpoint
     /// directory was requested (a bare `--resume` is called out); a
     /// directory that cannot be created reports on stderr and exits
     /// nonzero.
-    pub fn checkpoint(&self, bench: &str, seed: u64) -> Option<svt_sim::checkpoint::Checkpoint> {
+    pub fn checkpoint(&self) -> Option<svt_sim::checkpoint::Checkpoint> {
         let Some(dir) = &self.checkpoint_dir else {
             if self.resume() {
                 eprintln!("warning: --resume without --checkpoint-dir has nothing to replay");
             }
             return None;
         };
-        let mut tag = svt_sim::snapshot::Fingerprint::new();
-        tag.fold_bytes(bench.as_bytes());
-        tag.fold(seed);
-        tag.fold_bytes(self.arch().label().as_bytes());
-        match svt_sim::checkpoint::Checkpoint::create(dir, tag.value()) {
+        match svt_sim::checkpoint::Checkpoint::open(dir, self.resume()) {
             Ok(ckpt) => Some(ckpt),
             Err(e) => {
                 eprintln!(

@@ -18,11 +18,10 @@ pub use gate::{
 pub use runs::{
     fault_cell_json, faults_campaign, faults_report, fig6_report, hostprof_campaign,
     hostprof_report, riscv_grid, riscv_report, selfperf_measure, selfperf_report, selfperf_rows,
-    selfperf_rows_ckpt, smp_report, smp_series, timeline_cells, timeline_report, timelines_json,
-    FaultCell, HostprofRun, RiscvGrid, SelfperfRow, TimelineCell, FAULTS_DEFAULT_SEED,
-    FAULTS_MODES, FAULTS_N_VCPUS, HOSTPROF_N_VCPUS, RISCV_SMP_VCPUS, SELFPERF_FAULT_RATES,
-    SELFPERF_FIG6_GRID, SELFPERF_SMP_VCPUS, SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS,
-    TIMELINE_FAULT_RATE, TIMELINE_N_VCPUS,
+    smp_report, smp_series, timeline_cells, timeline_report, timelines_json, FaultCell,
+    HostprofRun, RiscvGrid, SelfperfRow, TimelineCell, FAULTS_DEFAULT_SEED, FAULTS_MODES,
+    FAULTS_N_VCPUS, HOSTPROF_N_VCPUS, RISCV_SMP_VCPUS, SELFPERF_FAULT_RATES, SELFPERF_SMP_VCPUS,
+    SERVE_RATE_QPS, SMP_REQUESTS, SMP_VCPU_COUNTS, TIMELINE_FAULT_RATE, TIMELINE_N_VCPUS,
 };
 use svt_obs::{hostprof, HostAgg, HostPart, Json, RunReport};
 use svt_sim::{CostModel, MachineSpec, VmSpec};

@@ -13,13 +13,12 @@ use std::time::Instant;
 
 use svt_arch::ArchId;
 use svt_core::SwitchMode;
-use svt_hv::Level;
 use svt_obs::{ExitRow, HostAgg, Json, PartRow, RunReport, SpeedupRow};
 use svt_sim::checkpoint::Checkpoint;
 use svt_sim::{CostModel, FaultPlan, SimDuration};
 use svt_workloads::{
-    cpuid_counted, fig6_bars_on_ckpt, run, ChaosPoint, ChaosProbe, Fig6Bar, Fig6Grid, RunSpec,
-    Serve, SmpPoint, TelemetryOpts, TelemetryPoint,
+    fig6_grid, run, run_cpuid, ChaosPoint, ChaosProbe, CpuidSpec, Fig6Bar, Fig6Grid, RunSpec,
+    Serve, SmpPoint, TelemetryOpts, TelemetryPoint, FIG6_CELLS,
 };
 
 use crate::{cost_model_json, machine_json};
@@ -125,35 +124,27 @@ fn memcached_spec(mode: SwitchMode, n_vcpus: usize, rate_qps: f64, requests: u64
 /// (virtual-instruction trap) micro-benchmark bars plus memcached
 /// through every engine, all on [`ArchId::Riscv`] with the
 /// CVA6-calibrated cost model. With a checkpoint, the bar cells journal
-/// under the `bars` scope and the memcached cells under `memcached`,
-/// and `(ckpt, true)` resumes from the journal.
+/// under the `fig6` scope and the memcached cells under `memcached`,
+/// each tagged by its own spec.
 pub fn riscv_grid(
     iters: u64,
     requests: u64,
     seed: u64,
     jobs: usize,
-    ckpt: Option<(&Checkpoint, bool)>,
+    ckpt: Option<&Checkpoint>,
 ) -> RiscvGrid {
-    let bars = fig6_bars_on_ckpt(ArchId::Riscv, iters, jobs, ckpt);
-    let cell = |i: usize| {
-        let spec = RunSpec {
-            arch: ArchId::Riscv,
-            seed,
-            ..memcached_spec(
-                SwitchMode::ALL[i],
-                RISCV_SMP_VCPUS,
-                SERVE_RATE_QPS,
-                requests,
-            )
-        };
-        run(&spec, ()).0.point
-    };
+    let bars = fig6_grid(ArchId::Riscv, iters, jobs, ckpt).bars;
+    let specs = SwitchMode::ALL.map(|mode| RunSpec {
+        arch: ArchId::Riscv,
+        seed,
+        ..memcached_spec(mode, RISCV_SMP_VCPUS, SERVE_RATE_QPS, requests)
+    });
     let points = svt_sim::checkpoint::sweep(
         ckpt,
         "memcached",
-        SwitchMode::ALL.len(),
+        &specs,
         jobs,
-        cell,
+        |spec| run(spec, ()).0.point,
         SmpPoint::snap_save,
         SmpPoint::snap_load,
     );
@@ -238,8 +229,8 @@ pub fn riscv_report(grid: &RiscvGrid, seed: u64) -> RunReport {
 /// vCPU count — as one `modes × counts` grid across `jobs` workers,
 /// returning one point series per mode in mode order. With a
 /// checkpoint, each `mode × vCPUs` cell journals under the `smp` scope
-/// as it completes, and `(ckpt, true)` resumes from the journal,
-/// recomputing only the missing or corrupted cells.
+/// as it completes, tagged by its [`RunSpec`], and a resume replays the
+/// cells journaled for exactly these specs and recomputes the rest.
 #[allow(clippy::too_many_arguments)]
 pub fn smp_series(
     arch: ArchId,
@@ -248,26 +239,25 @@ pub fn smp_series(
     requests: u64,
     seed: u64,
     jobs: usize,
-    ckpt: Option<(&Checkpoint, bool)>,
+    ckpt: Option<&Checkpoint>,
 ) -> Vec<(SwitchMode, Vec<SmpPoint>)> {
     let modes = SwitchMode::ALL;
-    let cell = |i: usize| {
-        let mode = modes[i / vcpu_counts.len()];
-        let n = vcpu_counts[i % vcpu_counts.len()];
-        let spec = RunSpec {
-            arch,
-            seed,
-            ..memcached_spec(mode, n, rate_qps, requests)
-        };
-        run(&spec, ()).0.point
-    };
-    let cells = modes.len() * vcpu_counts.len();
+    let specs: Vec<RunSpec> = modes
+        .iter()
+        .flat_map(|&mode| {
+            vcpu_counts.iter().map(move |&n| RunSpec {
+                arch,
+                seed,
+                ..memcached_spec(mode, n, rate_qps, requests)
+            })
+        })
+        .collect();
     let points = svt_sim::checkpoint::sweep(
         ckpt,
         "smp",
-        cells,
+        &specs,
         jobs,
-        cell,
+        |spec| run(spec, ()).0.point,
         SmpPoint::snap_save,
         SmpPoint::snap_load,
     );
@@ -344,33 +334,45 @@ pub struct FaultCell {
     pub point: ChaosPoint,
 }
 
-/// The chaos run of one campaign cell: memcached on
+/// The serving spec of one campaign cell: memcached on
 /// [`FAULTS_N_VCPUS`] vCPUs at [`SERVE_RATE_QPS`] with a uniform plan at
 /// `rate` (the disarmed plan at rate 0). Lanes keep the default request
 /// streams regardless of the fault seed: every cell of a fault-rate
 /// sweep then serves identical load, so throughput differences are
 /// attributable to the faults.
-fn chaos_cell(mode: SwitchMode, rate: f64, requests: u64, seed: u64) -> ChaosPoint {
+fn chaos_spec(mode: SwitchMode, rate: f64, requests: u64, seed: u64) -> RunSpec {
     let faults = if rate == 0.0 {
         FaultPlan::none()
     } else {
         FaultPlan::uniform(seed, rate)
     };
-    let spec = RunSpec {
+    RunSpec {
         faults,
         ..memcached_spec(mode, FAULTS_N_VCPUS, SERVE_RATE_QPS, requests)
-    };
-    run(&spec, ChaosProbe).1
+    }
+}
+
+/// The `modes × rates` campaign grid (mode-major) as one spec per cell.
+fn chaos_specs(modes: &[SwitchMode], rates: &[f64], requests: u64, seed: u64) -> Vec<RunSpec> {
+    modes
+        .iter()
+        .flat_map(|&mode| {
+            rates
+                .iter()
+                .map(move |&rate| chaos_spec(mode, rate, requests, seed))
+        })
+        .collect()
 }
 
 /// Runs the `modes × rates` fault campaign across `jobs` workers. Cells
 /// merge in grid order (mode-major). Every cell must finish with silent
 /// causal watchdogs: injected faults may cost time, never correctness.
 /// With a checkpoint, each `mode × rate` cell journals under the
-/// `faults` scope as it completes, and `(ckpt, true)` resumes from the
-/// journal. Watchdog verdicts are part of the journaled payload, so
-/// replayed cells re-assert the zero-violation contract exactly as fresh
-/// ones do.
+/// `faults` scope as it completes, tagged by its [`RunSpec`] (engine,
+/// fault plan, request count), and a resume replays only the cells
+/// journaled for exactly these specs. Watchdog verdicts are part of the
+/// journaled payload, so replayed cells re-assert the zero-violation
+/// contract exactly as fresh ones do.
 ///
 /// # Panics
 ///
@@ -381,22 +383,14 @@ pub fn faults_campaign(
     requests: u64,
     seed: u64,
     jobs: usize,
-    ckpt: Option<(&Checkpoint, bool)>,
+    ckpt: Option<&Checkpoint>,
 ) -> Vec<FaultCell> {
-    let cell = |i: usize| {
-        chaos_cell(
-            modes[i / rates.len()],
-            rates[i % rates.len()],
-            requests,
-            seed,
-        )
-    };
     let cells = svt_sim::checkpoint::sweep(
         ckpt,
         "faults",
-        modes.len() * rates.len(),
+        &chaos_specs(modes, rates, requests, seed),
         jobs,
-        cell,
+        |spec| run(spec, ChaosProbe).1,
         ChaosPoint::snap_save,
         ChaosPoint::snap_load,
     );
@@ -447,15 +441,6 @@ pub fn faults_report(cells: &[FaultCell], seed: u64) -> RunReport {
 // The selfperf measurement grids (shared by the selfperf binary and the
 // perfgate regression gate, which re-runs them fresh).
 // ----------------------------------------------------------------------
-
-/// The Fig. 6 cells of the selfperf workload, as in the figure's sweep.
-pub const SELFPERF_FIG6_GRID: [(Level, SwitchMode); 5] = [
-    (Level::L0, SwitchMode::Baseline),
-    (Level::L1, SwitchMode::Baseline),
-    (Level::L2, SwitchMode::Baseline),
-    (Level::L2, SwitchMode::SwSvt),
-    (Level::L2, SwitchMode::HwSvt),
-];
 
 /// vCPUs of the selfperf SMP workload (the paper's mid-size machine).
 pub const SELFPERF_SMP_VCPUS: usize = 4;
@@ -536,26 +521,30 @@ impl SelfperfRow {
     }
 }
 
-/// Runs one workload grid at `--jobs 1` and at `jobs_n`, timing each
-/// pass. The per-cell trap counts must merge identically at both worker
-/// counts — a drift means the sweep engine broke determinism.
+/// Runs one workload grid, one cell per spec, at `--jobs 1` and at
+/// `jobs_n`, timing each pass. The per-cell trap counts must merge
+/// identically at both worker counts — a drift means the sweep engine
+/// broke determinism.
 ///
 /// # Panics
 ///
 /// Panics if the merged trap counts differ between the passes or the
 /// workload serves no traps.
-pub fn selfperf_measure<F>(name: &'static str, cells: usize, jobs_n: usize, f: F) -> SelfperfRow
+pub fn selfperf_measure<S, F>(name: &'static str, specs: &[S], jobs_n: usize, f: F) -> SelfperfRow
 where
-    F: Fn(usize) -> u64 + Sync,
+    S: Sync,
+    F: Fn(&S) -> u64 + Sync,
 {
+    let cells = specs.len();
+    let cell = |i: usize| f(&specs[i]);
     // Warm one cell outside the timed region (lazy init, allocator,
     // cold caches).
-    black_box(f(0));
+    black_box(cell(0));
     let start = Instant::now();
-    let traps_j1: u64 = svt_sim::sweep(cells, 1, &f).iter().sum();
+    let traps_j1: u64 = svt_sim::sweep(cells, 1, cell).iter().sum();
     let wall_ns_j1 = start.elapsed().as_nanos() as f64;
     let start = Instant::now();
-    let traps_jn: u64 = svt_sim::sweep(cells, jobs_n, &f).iter().sum();
+    let traps_jn: u64 = svt_sim::sweep(cells, jobs_n, cell).iter().sum();
     let wall_ns_jn = start.elapsed().as_nanos() as f64;
     assert_eq!(
         traps_j1, traps_jn,
@@ -572,112 +561,74 @@ where
     }
 }
 
-/// Runs the three selfperf workload grids (fig6, smp, faults) and
-/// returns the measured rows. `jobs` is the `--jobs` request; each
-/// workload clamps it to its own cell count.
-pub fn selfperf_rows(smoke: bool, seed: u64, jobs: Option<usize>) -> Vec<SelfperfRow> {
-    selfperf_rows_ckpt(smoke, seed, jobs, None)
-}
-
-/// Replays a journaled selfperf row, or measures it and journals the
-/// result. Unlike the simulated-time campaigns, the journaled unit is a
-/// whole measured workload — checkpointing *inside* the timed sweeps
-/// would poison the wall-clock columns they exist to measure.
-fn selfperf_row_journaled<F>(
-    ckpt: Option<(&Checkpoint, bool)>,
+/// Measures one selfperf workload with [`selfperf_measure`] (the worker
+/// request clamped to its cell count), or, resuming, replays its
+/// journaled row. Unlike the simulated-time campaigns, the journaled
+/// unit is a whole measured workload, tagged by its full spec list:
+/// checkpointing *inside* the timed sweeps would poison the wall-clock
+/// columns they exist to measure.
+fn selfperf_row<S, F>(
+    ckpt: Option<&Checkpoint>,
     idx: usize,
-    measure: F,
+    name: &'static str,
+    specs: &[S],
+    jobs: Option<usize>,
+    f: F,
 ) -> SelfperfRow
 where
-    F: FnOnce() -> SelfperfRow,
+    S: std::fmt::Debug + Sync,
+    F: Fn(&S) -> u64 + Sync,
 {
-    if let Some((c, true)) = ckpt {
-        match c.load_cell("selfperf", idx) {
-            Ok(Some(payload)) => {
-                let mut r = svt_sim::SnapReader::new(&payload);
-                match SelfperfRow::snap_load(&mut r).and_then(|row| r.finish().map(|()| row)) {
-                    Ok(row) => return row,
-                    Err(e) => {
-                        eprintln!(
-                            "checkpoint: selfperf row {idx} undecodable ({e:?}); re-measuring"
-                        )
-                    }
-                }
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!("checkpoint: selfperf row {idx} rejected ({e:?}); re-measuring"),
-        }
+    let measure = || selfperf_measure(name, specs, svt_sim::resolve_jobs_for(jobs, specs.len()), f);
+    match ckpt {
+        Some(c) => c.cell(
+            "selfperf",
+            idx,
+            &specs,
+            measure,
+            SelfperfRow::snap_save,
+            SelfperfRow::snap_load,
+        ),
+        None => measure(),
     }
-    let row = measure();
-    if let Some((c, _)) = ckpt {
-        let mut w = svt_sim::SnapWriter::new();
-        row.snap_save(&mut w);
-        if let Err(e) = c.store_cell("selfperf", idx, &w.into_vec()) {
-            eprintln!("checkpoint: journaling selfperf row {idx} failed ({e}); continuing");
-        }
-    }
-    row
 }
 
-/// [`selfperf_rows`] with optional campaign checkpointing: each measured
-/// workload row journals under the `selfperf` scope as it completes, and
-/// `(ckpt, true)` replays completed rows (including their wall-clock
+/// Runs the three selfperf workload grids (fig6, smp, faults) and
+/// returns the measured rows. `jobs` is the `--jobs` request; each
+/// workload clamps it to its own cell count. With a checkpoint, each
+/// measured row journals under the `selfperf` scope as it completes,
+/// and a resume replays completed rows (including their wall-clock
 /// columns) instead of re-measuring them.
-pub fn selfperf_rows_ckpt(
+pub fn selfperf_rows(
     smoke: bool,
     seed: u64,
     jobs: Option<usize>,
-    ckpt: Option<(&Checkpoint, bool)>,
+    ckpt: Option<&Checkpoint>,
 ) -> Vec<SelfperfRow> {
     let fig6_iters: u64 = if smoke { 50 } else { 200 };
     let smp_requests: u64 = if smoke { 60 } else { 150 };
     let faults_requests: u64 = if smoke { 60 } else { 100 };
+    let fig6 = FIG6_CELLS.map(|(_, level, mode)| CpuidSpec {
+        level,
+        mode,
+        arch: ArchId::X86,
+        iters: fig6_iters,
+    });
+    let smp = SwitchMode::ALL.map(|mode| RunSpec {
+        seed,
+        ..memcached_spec(mode, SELFPERF_SMP_VCPUS, SERVE_RATE_QPS, smp_requests)
+    });
+    let faults = chaos_specs(
+        &FAULTS_MODES,
+        &SELFPERF_FAULT_RATES,
+        faults_requests,
+        FAULTS_DEFAULT_SEED,
+    );
     vec![
-        selfperf_row_journaled(ckpt, 0, || {
-            selfperf_measure(
-                "fig6",
-                SELFPERF_FIG6_GRID.len(),
-                svt_sim::resolve_jobs_for(jobs, SELFPERF_FIG6_GRID.len()),
-                |i| {
-                    let (level, mode) = SELFPERF_FIG6_GRID[i];
-                    cpuid_counted(level, mode, fig6_iters).1
-                },
-            )
-        }),
-        selfperf_row_journaled(ckpt, 1, || {
-            selfperf_measure(
-                "smp",
-                SwitchMode::ALL.len(),
-                svt_sim::resolve_jobs_for(jobs, SwitchMode::ALL.len()),
-                |i| {
-                    let spec = RunSpec {
-                        seed,
-                        ..memcached_spec(
-                            SwitchMode::ALL[i],
-                            SELFPERF_SMP_VCPUS,
-                            SERVE_RATE_QPS,
-                            smp_requests,
-                        )
-                    };
-                    run(&spec, ()).0.traps
-                },
-            )
-        }),
-        selfperf_row_journaled(ckpt, 2, || {
-            selfperf_measure(
-                "faults",
-                FAULTS_MODES.len() * SELFPERF_FAULT_RATES.len(),
-                svt_sim::resolve_jobs_for(jobs, FAULTS_MODES.len() * SELFPERF_FAULT_RATES.len()),
-                |i| {
-                    chaos_cell(
-                        FAULTS_MODES[i / SELFPERF_FAULT_RATES.len()],
-                        SELFPERF_FAULT_RATES[i % SELFPERF_FAULT_RATES.len()],
-                        faults_requests,
-                        FAULTS_DEFAULT_SEED,
-                    )
-                    .traps
-                },
-            )
+        selfperf_row(ckpt, 0, "fig6", &fig6, jobs, |s| run_cpuid(s).traps),
+        selfperf_row(ckpt, 1, "smp", &smp, jobs, |s| run(s, ()).0.traps),
+        selfperf_row(ckpt, 2, "faults", &faults, jobs, |s| {
+            run(s, ChaosProbe).1.traps
         }),
     ]
 }

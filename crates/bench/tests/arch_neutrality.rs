@@ -18,7 +18,7 @@ use svt_bench::{
     FAULTS_DEFAULT_SEED, FAULTS_MODES, SERVE_RATE_QPS,
 };
 use svt_core::SwitchMode;
-use svt_workloads::{fig6_bars_on, fig6_grid, DEFAULT_LANE_SEED};
+use svt_workloads::{fig6_grid, DEFAULT_LANE_SEED};
 
 /// Byte-compares a freshly built report against a committed golden file.
 fn assert_matches_golden(report: &svt_obs::RunReport, golden: &str, name: &str) {
@@ -33,7 +33,7 @@ fn assert_matches_golden(report: &svt_obs::RunReport, golden: &str, name: &str) 
 
 #[test]
 fn x86_fig6_report_matches_pre_refactor_golden_bytes() {
-    let report = fig6_report(&fig6_grid(30, 1), DEFAULT_LANE_SEED);
+    let report = fig6_report(&fig6_grid(ArchId::X86, 30, 1, None), DEFAULT_LANE_SEED);
     assert_matches_golden(&report, include_str!("golden/fig6_x86.json"), "fig6");
 }
 
@@ -112,8 +112,8 @@ fn riscv_smp_report_is_byte_identical_across_worker_counts() {
 /// are deterministic across worker counts.
 #[test]
 fn riscv_bars_show_svt_speedups_and_merge_deterministically() {
-    let a = fig6_bars_on(ArchId::Riscv, 20, 1);
-    let b = fig6_bars_on(ArchId::Riscv, 20, 4);
+    let a = fig6_grid(ArchId::Riscv, 20, 1, None).bars;
+    let b = fig6_grid(ArchId::Riscv, 20, 4, None).bars;
     assert_eq!(a, b);
     let bar = |label: &str| a.iter().find(|x| x.label == label).unwrap();
     assert!(

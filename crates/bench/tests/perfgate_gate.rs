@@ -7,6 +7,7 @@
 //! — so a report-schema change that silently breaks the gate's field
 //! lookups fails here, not in CI's shell step.
 
+use svt_arch::ArchId;
 use svt_bench::{
     delta_table, fig6_report, gate_fig6, gate_passes, gate_selfperf, selfperf_report,
     selfperf_rows, GateBands,
@@ -48,7 +49,7 @@ fn doctor_2x_faster(doc: &Json) -> Json {
 fn gate_passes_when_fresh_equals_baseline_and_fails_on_synthetic_2x_regression() {
     // One smoke-sized measurement serves as both baseline and fresh run:
     // identical documents must pass with every ratio at exactly 1.0.
-    let rows = selfperf_rows(true, DEFAULT_LANE_SEED, Some(2));
+    let rows = selfperf_rows(true, DEFAULT_LANE_SEED, Some(2), None);
     let doc = selfperf_report(&rows, DEFAULT_LANE_SEED, 2).to_json();
     let bands = GateBands::default();
 
@@ -81,11 +82,11 @@ fn gate_passes_when_fresh_equals_baseline_and_fails_on_synthetic_2x_regression()
 
 #[test]
 fn fig6_gate_accepts_a_rerun_and_rejects_a_doctored_speedup() {
-    let fresh = fig6_report(&fig6_grid(30, 2), DEFAULT_LANE_SEED).to_json();
+    let fresh = fig6_report(&fig6_grid(ArchId::X86, 30, 2, None), DEFAULT_LANE_SEED).to_json();
     let bands = GateBands::default();
 
     // The simulation is deterministic: a rerun gates clean against itself.
-    let rerun = fig6_report(&fig6_grid(30, 1), DEFAULT_LANE_SEED).to_json();
+    let rerun = fig6_report(&fig6_grid(ArchId::X86, 30, 1, None), DEFAULT_LANE_SEED).to_json();
     let deltas = gate_fig6(&fresh, &rerun, &bands).expect("well-formed reports");
     assert!(gate_passes(&deltas), "{}", delta_table(&deltas));
 

@@ -169,12 +169,8 @@ mod tests {
     use svt_sim::SimDuration;
 
     fn cpuid_us(m: &mut Machine, iters: u64) -> f64 {
-        let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-        m.run(&mut warm).unwrap();
-        let base = m.clock.snapshot();
-        let mut prog = OpLoop::new(GuestOp::Cpuid, iters, 0, SimDuration::ZERO);
-        m.run(&mut prog).unwrap();
-        m.clock.since_snapshot(&base).busy_time().as_us() / iters as f64
+        let d = m.measure(GuestOp::Cpuid, iters).unwrap();
+        d.busy_time().as_us() / iters as f64
     }
 
     #[test]
@@ -198,12 +194,7 @@ mod tests {
             MachineConfig::at_level(Level::L2),
             Box::new(BypassReflector::new()),
         );
-        let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-        m.run(&mut warm).unwrap();
-        let base = m.clock.snapshot();
-        let mut prog = OpLoop::new(GuestOp::Cpuid, 10, 0, SimDuration::ZERO);
-        m.run(&mut prog).unwrap();
-        let d = m.clock.since_snapshot(&base);
+        let d = m.measure(GuestOp::Cpuid, 10).unwrap();
         assert_eq!(d.part_time(CostPart::Transform), SimDuration::ZERO);
         assert_eq!(d.part_time(CostPart::L0Handler), SimDuration::ZERO);
         // L1 still handled every exit.

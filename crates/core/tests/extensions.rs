@@ -6,12 +6,8 @@ use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
 use svt_sim::{CostPart, SimDuration};
 
 fn cpuid_us(m: &mut Machine, iters: u64) -> f64 {
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).unwrap();
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, iters, 0, SimDuration::ZERO);
-    m.run(&mut prog).unwrap();
-    m.clock.since_snapshot(&base).busy_time().as_us() / iters as f64
+    let d = m.measure(GuestOp::Cpuid, iters).unwrap();
+    d.busy_time().as_us() / iters as f64
 }
 
 #[test]
@@ -35,12 +31,7 @@ fn two_context_svt_keeps_l2_switches_fast_but_pays_l0_l1() {
         MachineConfig::at_level(Level::L2),
         Box::new(HwSvtReflector::with_contexts(2)),
     );
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).unwrap();
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, 20, 0, SimDuration::ZERO);
-    m.run(&mut prog).unwrap();
-    let d = m.clock.since_snapshot(&base);
+    let d = m.measure(GuestOp::Cpuid, 20).unwrap();
     // L2<->L0 is stall/resume (fast); L0<->L1 is the full world switch.
     assert!(d.part_time(CostPart::SwitchL2L0).as_ns() / 20.0 < 100.0);
     let l0l1 = d.part_time(CostPart::SwitchL0L1).as_ns() / 20.0;

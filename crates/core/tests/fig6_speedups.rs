@@ -9,12 +9,8 @@ use svt_hv::{GuestOp, Machine, OpLoop};
 use svt_sim::{CostPart, SimDuration};
 
 fn cpuid_ns(m: &mut Machine, iters: u64) -> f64 {
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).unwrap();
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, iters, 0, SimDuration::ZERO);
-    m.run(&mut prog).unwrap();
-    m.clock.since_snapshot(&base).busy_time().as_ns() / iters as f64
+    let d = m.measure(GuestOp::Cpuid, iters).unwrap();
+    d.busy_time().as_ns() / iters as f64
 }
 
 #[test]
@@ -42,12 +38,7 @@ fn hw_svt_speedup_band() {
 #[test]
 fn hw_svt_eliminates_switch_time() {
     let mut m = nested_machine(SwitchMode::HwSvt);
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).unwrap();
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, 20, 0, SimDuration::ZERO);
-    m.run(&mut prog).unwrap();
-    let d = m.clock.since_snapshot(&base);
+    let d = m.measure(GuestOp::Cpuid, 20).unwrap();
     // Thread stall/resume (40ns) replaces the 810ns/1400ns switches.
     let sw12 = d.part_time(CostPart::SwitchL2L0).as_ns() / 20.0;
     let sw01 = d.part_time(CostPart::SwitchL0L1).as_ns() / 20.0;
@@ -61,12 +52,7 @@ fn hw_svt_eliminates_switch_time() {
 #[test]
 fn sw_svt_replaces_world_switch_with_channel() {
     let mut m = nested_machine(SwitchMode::SwSvt);
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).unwrap();
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, 20, 0, SimDuration::ZERO);
-    m.run(&mut prog).unwrap();
-    let d = m.clock.since_snapshot(&base);
+    let d = m.measure(GuestOp::Cpuid, 20).unwrap();
     // No L0<->L1 world switches; channel time appears instead.
     assert_eq!(d.part_time(CostPart::SwitchL0L1), SimDuration::ZERO);
     let chan = d.part_time(CostPart::Channel).as_ns() / 20.0;

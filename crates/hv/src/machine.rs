@@ -27,15 +27,14 @@ use svt_cpu::{Gpr, SmtCore};
 use svt_mem::{Gpa, GuestMemory};
 use svt_obs::{HostPart, MetricKey, Obs, ObsLevel};
 use svt_sim::{
-    assign_svt_cores, Clock, CostModel, CostPart, CpuLoc, EventQueue, FaultKind, FaultPlan,
-    MachineSpec, SimCounter, SimDuration, SimTime,
+    assign_svt_cores, Clock, ClockSnapshot, CostModel, CostPart, CpuLoc, EventQueue, FaultKind,
+    FaultPlan, MachineSpec, SimCounter, SimDuration, SimTime,
 };
 
 use crate::device::{Completion, DeviceModel, DeviceOutcome, MmioMap};
-use crate::program::{GuestCtx, GuestOp, GuestProgram};
+use crate::program::{GuestCtx, GuestOp, GuestProgram, OpLoop};
 use crate::reflector::{BaselineReflector, Reflector};
 use crate::state::{L0State, L1State, Level, MachineConfig, MachineEvent, VcpuState};
-use crate::trace::{TraceEvent, Tracer};
 use crate::vcpu::Vcpu;
 
 /// Which VMCS a (charged) access targets.
@@ -135,8 +134,6 @@ pub struct Machine {
     /// profiling tags and the guest-op→trap mapping. All reflection
     /// engines are backend-neutral and consult this.
     pub arch: ArchId,
-    /// Architectural event trace (disabled by default).
-    pub tracer: Tracer,
     /// Structured observability: typed metrics plus trap-lifecycle spans
     /// (span recording disabled by default; counters always on).
     pub obs: Obs,
@@ -216,7 +213,6 @@ impl Machine {
             spec: cfg.spec,
             shadowing: cfg.shadowing,
             arch: cfg.arch,
-            tracer: Tracer::default(),
             obs: Obs::new(),
             faults: FaultPlan::none(),
             record_schedule: false,
@@ -793,6 +789,24 @@ impl Machine {
         self.run_smp(&mut [prog], deadline)
     }
 
+    /// The micro-benchmark measurement loop: one warm-up iteration of
+    /// `op` (first-touch costs stay out of the window), then `iters`
+    /// measured back-to-back iterations. The metrics registry is cleared
+    /// after the warm-up, so it describes the same loop as the returned
+    /// clock delta; the clock's own counters keep the warm-up.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError::IdleForever`] if `op` halts the guest with nothing
+    /// armed to wake it.
+    pub fn measure(&mut self, op: GuestOp, iters: u64) -> Result<ClockSnapshot, MachineError> {
+        self.run(&mut OpLoop::new(op, 1, 0, SimDuration::ZERO))?;
+        self.obs.metrics.clear();
+        let base = self.clock.snapshot();
+        self.run(&mut OpLoop::new(op, iters, 0, SimDuration::ZERO))?;
+        Ok(self.clock.since_snapshot(&base))
+    }
+
     /// Runs one program per vCPU until all finish or `deadline` passes.
     ///
     /// Scheduling is a deterministic discrete-event interleaving: among
@@ -1008,8 +1022,6 @@ impl Machine {
                 self.obs
                     .metrics
                     .inc(MetricKey::new("irq_delivered").level(self.level.obs()));
-                self.tracer
-                    .record(self.clock.now(), TraceEvent::Deliver(self.level, v));
                 let mut ctx = GuestCtx {
                     now: self.clock.now(),
                     mem: &mut self.ram,
@@ -1269,10 +1281,6 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn deliver_irq(&mut self, r: &mut dyn Reflector, vector: u8, work: IrqWork) {
-        if self.vstate().halted {
-            self.tracer
-                .record(self.clock.now(), TraceEvent::Wake(self.level));
-        }
         self.obs
             .metrics
             .inc(MetricKey::new("irq_raised").level(self.level.obs()));
@@ -1641,8 +1649,6 @@ impl Machine {
             GuestOp::Hlt => {
                 self.nested_reflect(r, ExitReason::Hlt);
                 self.vstate_mut().halted = true;
-                self.tracer
-                    .record(self.clock.now(), TraceEvent::Halt(Level::L2));
             }
             GuestOp::Done => {}
         }
@@ -1736,8 +1742,6 @@ impl Machine {
         self.obs.hostprof.shape_fold_str(r.name());
         self.obs.hostprof.shape_fold_str(r.health());
         self.clock.count(SimCounter::L2ExitChain);
-        self.tracer
-            .record(self.clock.now(), TraceEvent::Exit(Level::L2, tag));
         self.obs.metrics.inc(
             MetricKey::new("vm_exit")
                 .level(ObsLevel::L2)
@@ -1755,8 +1759,6 @@ impl Machine {
             trap_begin,
             self.clock.now(),
         );
-        self.tracer
-            .record(self.clock.now(), TraceEvent::Reflect(Level::L0, tag));
         r.reflect(self, reason); // parts 2 + 3 + 4 + 5
         let resume_begin = self.clock.now();
         r.l2_resume(self); // part 1 (second half)
@@ -2200,8 +2202,6 @@ impl Machine {
     /// field of vmcs01' (shadow-writable).
     fn l1_inject_to_l2(&mut self, r: &mut dyn Reflector, vector: u8) {
         self.vstate_mut().apic.inject(vector);
-        self.tracer
-            .record(self.clock.now(), TraceEvent::Inject(Level::L1, vector));
         self.obs
             .metrics
             .inc(MetricKey::new("irq_injected").level(ObsLevel::L1));
@@ -2266,8 +2266,6 @@ impl Machine {
         let tag = self.arch.tag(exit);
         self.obs.hostprof.shape_fold_str(tag);
         self.clock.count(SimCounter::L1Exit);
-        self.tracer
-            .record(self.clock.now(), TraceEvent::L1Exit(Level::L1, tag));
         self.obs
             .metrics
             .inc(MetricKey::new("l1_exit").level(ObsLevel::L1).exit(tag));

@@ -18,12 +18,7 @@ const PAPER: &[(CostPart, f64)] = &[
 fn run_cpuid_batch(iters: u64) -> (Machine, svt_sim::ClockSnapshot) {
     let mut m = Machine::baseline(MachineConfig::at_level(Level::L2));
     // Warm up one iteration (bootstrap costs), then measure.
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).unwrap();
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, iters, 0, SimDuration::ZERO);
-    m.run(&mut prog).unwrap();
-    let diff = m.clock.since_snapshot(&base);
+    let diff = m.measure(GuestOp::Cpuid, iters).unwrap();
     (m, diff)
 }
 
@@ -124,12 +119,7 @@ fn shadowing_off_multiplies_l1_traps() {
     let mut cfg = MachineConfig::at_level(Level::L2);
     cfg.shadowing = false;
     let mut m = Machine::baseline(cfg);
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).unwrap();
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, 20, 0, SimDuration::ZERO);
-    m.run(&mut prog).unwrap();
-    let d = m.clock.since_snapshot(&base);
+    let d = m.measure(GuestOp::Cpuid, 20).unwrap();
     // Without shadowing, L1's exit-info vmreads and rip vmwrite also trap.
     assert!(d.counter("l1_vmread_exit") >= 40, "{:?}", d.counters);
     let per_op = d.busy_time().as_ns() / 20.0;

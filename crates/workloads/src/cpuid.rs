@@ -1,10 +1,63 @@
-//! Fig. 6 and Table 1 runners: the cpuid micro-benchmark.
+//! Fig. 6 and Table 1: the cpuid micro-benchmark.
+//!
+//! One experiment backs both: a cpuid loop at a given level, under a
+//! given engine, on a given ISA ([`CpuidSpec`] → [`run_cpuid`]). The
+//! bar time, the Table 1 parts and the per-exit attribution are all
+//! views of its [`CpuidOutcome`].
 
 use svt_arch::ArchId;
-use svt_core::{nested_machine, nested_machine_on, SwitchMode};
-use svt_hv::{GuestOp, Level, Machine, MachineConfig, OpLoop};
-use svt_obs::{Json, MetricKey, ObsLevel};
-use svt_sim::{CostPart, SimDuration};
+use svt_core::{nested_machine_on, SwitchMode};
+use svt_hv::{GuestOp, Level, Machine, MachineConfig};
+use svt_obs::{Json, MetricKey, MetricsRegistry, ObsLevel};
+use svt_sim::checkpoint::Checkpoint;
+use svt_sim::{
+    ClockSnapshot, CostPart, SimCounter, SimDuration, SnapError, SnapReader, SnapWriter,
+};
+
+/// One cpuid experiment: `iters` measured cpuid iterations at `level`
+/// under `mode` on `arch`. On RISC-V the probe instruction traps as a
+/// virtual instruction rather than a `cpuid` exit, and the backend's
+/// own cost model applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CpuidSpec {
+    /// Virtualization level the loop runs at.
+    pub level: Level,
+    /// Reflection engine (only meaningful at L2).
+    pub mode: SwitchMode,
+    /// ISA backend.
+    pub arch: ArchId,
+    /// Measured iterations (one warm-up iteration runs before them).
+    pub iters: u64,
+}
+
+/// Everything one cpuid experiment measured.
+#[derive(Debug, Clone)]
+pub struct CpuidOutcome {
+    /// The experiment that ran.
+    pub spec: CpuidSpec,
+    /// Busy (non-idle) simulated time of the measured loop.
+    pub busy: SimDuration,
+    /// Simulated traps served, warm-up included (L2 exits plus
+    /// single-level exits): the self-benchmark's unit of work.
+    pub traps: u64,
+    /// Clock attribution of the measured loop (per part, tag, counter).
+    pub delta: ClockSnapshot,
+    /// Per-exit-reason attribution of the measured loop.
+    pub exits: Vec<ExitAttribution>,
+    /// Metrics (counters, gauges, histograms) of the measured loop.
+    pub metrics: MetricsRegistry,
+}
+
+/// Per-exit-reason attribution of a nested cpuid run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExitAttribution {
+    /// Exit-reason tag, e.g. `"CPUID"`.
+    pub reason: &'static str,
+    /// Total time attributed to this reason, nanoseconds.
+    pub time_ns: f64,
+    /// Number of reflected L2 exits with this reason.
+    pub count: u64,
+}
 
 /// One bar of Fig. 6.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,312 +85,18 @@ pub struct Table1Row {
     pub paper_us: f64,
 }
 
-fn measure_cpuid(m: &mut Machine, iters: u64) -> svt_sim::ClockSnapshot {
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).expect("cpuid never blocks");
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, iters, 0, SimDuration::ZERO);
-    m.run(&mut prog).expect("cpuid never blocks");
-    m.clock.since_snapshot(&base)
-}
-
-/// cpuid latency in µs at a given level/mode.
-pub fn cpuid_us(level: Level, mode: SwitchMode, iters: u64) -> f64 {
-    cpuid_counted(level, mode, iters).0
-}
-
-/// [`cpuid_us`] additionally returning the number of simulated traps
-/// the run served (L2 vm-exits plus L0 direct exits) — the wall-clock
-/// self-benchmark's unit of work.
-pub fn cpuid_counted(level: Level, mode: SwitchMode, iters: u64) -> (f64, u64) {
-    let mut m = if level == Level::L2 {
-        nested_machine(mode)
+/// Runs one cpuid experiment on a freshly built machine.
+pub fn run_cpuid(spec: &CpuidSpec) -> CpuidOutcome {
+    let mut m = if spec.level == Level::L2 {
+        nested_machine_on(spec.mode, spec.arch)
     } else {
-        Machine::baseline(MachineConfig::at_level(level))
+        Machine::baseline(MachineConfig::at_level_on(spec.level, spec.arch))
     };
-    let d = measure_cpuid(&mut m, iters);
-    let traps =
-        m.obs.metrics.counter_total("vm_exit") + m.obs.metrics.counter_total("l0_direct_exit");
-    (d.busy_time().as_us() / iters as f64, traps)
-}
-
-/// [`cpuid_us`] on an explicit ISA backend. On RISC-V the probe
-/// instruction traps as a virtual instruction rather than a `cpuid`
-/// exit, and the backend's own cost model applies.
-pub fn cpuid_us_on(level: Level, mode: SwitchMode, arch: ArchId, iters: u64) -> f64 {
-    let mut m = if level == Level::L2 {
-        nested_machine_on(mode, arch)
-    } else {
-        Machine::baseline(MachineConfig::at_level_on(level, arch))
-    };
-    measure_cpuid(&mut m, iters).busy_time().as_us() / iters as f64
-}
-
-/// The five Fig. 6 cells in bar order. Each cell is an independent
-/// machine configuration, so the figure sweeps cleanly.
-const FIG6_CELLS: [(&str, Level, SwitchMode); 5] = [
-    ("L0", Level::L0, SwitchMode::Baseline),
-    ("L1", Level::L1, SwitchMode::Baseline),
-    ("L2", Level::L2, SwitchMode::Baseline),
-    ("SW SVt", Level::L2, SwitchMode::SwSvt),
-    ("HW SVt", Level::L2, SwitchMode::HwSvt),
-];
-
-fn bars_from_times(times: &[f64]) -> Vec<Fig6Bar> {
-    let l2 = times[2];
-    FIG6_CELLS
-        .iter()
-        .zip(times)
-        .map(|(&(label, _, mode), &t)| Fig6Bar {
-            label,
-            time_us: t,
-            speedup: if mode == SwitchMode::Baseline {
-                1.0
-            } else {
-                l2 / t
-            },
-        })
-        .collect()
-}
-
-/// Reproduces Fig. 6: the five bars with speedups against baseline L2.
-pub fn fig6(iters: u64) -> Vec<Fig6Bar> {
-    fig6_jobs(iters, 1)
-}
-
-/// [`fig6`] with the five cells fanned across `jobs` sweep workers.
-/// Results merge in bar order, so every worker count produces the same
-/// bars, bit for bit.
-pub fn fig6_jobs(iters: u64, jobs: usize) -> Vec<Fig6Bar> {
-    let times = svt_sim::sweep(FIG6_CELLS.len(), jobs, |i| {
-        let (_, level, mode) = FIG6_CELLS[i];
-        cpuid_us(level, mode, iters)
-    });
-    bars_from_times(&times)
-}
-
-/// The five Fig. 6 bars computed on an explicit ISA backend, fanned
-/// across `jobs` sweep workers with grid-order merge (byte-identical at
-/// any worker count).
-pub fn fig6_bars_on(arch: ArchId, iters: u64, jobs: usize) -> Vec<Fig6Bar> {
-    fig6_bars_on_ckpt(arch, iters, jobs, None)
-}
-
-/// [`fig6_bars_on`] with optional campaign checkpointing: each bar cell
-/// journals to `ckpt` under the `bars` scope, and `(ckpt, true)` resumes
-/// from the journal, recomputing only the cells it is missing.
-pub fn fig6_bars_on_ckpt(
-    arch: ArchId,
-    iters: u64,
-    jobs: usize,
-    ckpt: Option<(&svt_sim::checkpoint::Checkpoint, bool)>,
-) -> Vec<Fig6Bar> {
-    let run = |i: usize| {
-        let (_, level, mode) = FIG6_CELLS[i];
-        cpuid_us_on(level, mode, arch, iters)
-    };
-    let times = svt_sim::checkpoint::sweep(
-        ckpt,
-        "bars",
-        FIG6_CELLS.len(),
-        jobs,
-        run,
-        |t, w| w.f64(*t),
-        |r| r.f64(),
-    );
-    bars_from_times(&times)
-}
-
-/// Everything the Fig. 6 report carries, computed as one sweep grid:
-/// the five bars, the Table 1 breakdown, and the observed per-exit
-/// attribution with the metrics export.
-#[derive(Debug, Clone)]
-pub struct Fig6Grid {
-    /// The five Fig. 6 bars, in bar order.
-    pub bars: Vec<Fig6Bar>,
-    /// The Table 1 six-part breakdown of one nested cpuid.
-    pub table1: Vec<Table1Row>,
-    /// Per-exit-reason attribution of the observed baseline run.
-    pub exits: Vec<ExitAttribution>,
-    /// The observed run's metrics export (counters, gauges, histograms).
-    pub metrics: Json,
-}
-
-enum GridCell {
-    Bar(f64),
-    Table(Vec<Table1Row>),
-    Observed(Box<(Vec<ExitAttribution>, Json)>),
-}
-
-fn grid_cell_save(c: &GridCell, w: &mut svt_sim::SnapWriter) {
-    match c {
-        GridCell::Bar(t) => {
-            w.u8(0);
-            w.f64(*t);
-        }
-        GridCell::Table(rows) => {
-            w.u8(1);
-            w.usize(rows.len());
-            for row in rows {
-                w.usize(row.part);
-                w.str(&row.label);
-                w.f64(row.time_us);
-                w.f64(row.percent);
-                w.f64(row.paper_us);
-            }
-        }
-        GridCell::Observed(obs) => {
-            let (exits, metrics) = &**obs;
-            w.u8(2);
-            w.usize(exits.len());
-            for e in exits {
-                w.str(e.reason);
-                w.f64(e.time_ns);
-                w.u64(e.count);
-            }
-            // The metrics export round-trips through its own canonical
-            // JSON text (parse(pretty(j)) == j).
-            w.str(&metrics.pretty());
-        }
-    }
-}
-
-fn grid_cell_load(r: &mut svt_sim::SnapReader<'_>) -> Result<GridCell, svt_sim::SnapError> {
-    match r.u8()? {
-        0 => Ok(GridCell::Bar(r.f64()?)),
-        1 => {
-            let len = r.usize()?;
-            let mut rows = Vec::with_capacity(len.min(64));
-            for _ in 0..len {
-                rows.push(Table1Row {
-                    part: r.usize()?,
-                    label: r.str()?.to_string(),
-                    time_us: r.f64()?,
-                    percent: r.f64()?,
-                    paper_us: r.f64()?,
-                });
-            }
-            Ok(GridCell::Table(rows))
-        }
-        2 => {
-            let len = r.usize()?;
-            let mut exits = Vec::with_capacity(len.min(64));
-            for _ in 0..len {
-                exits.push(ExitAttribution {
-                    reason: svt_sim::snapshot::intern_static(r.str()?),
-                    time_ns: r.f64()?,
-                    count: r.u64()?,
-                });
-            }
-            let text = r.str()?;
-            let metrics = Json::parse(text).map_err(|_| svt_sim::SnapError::BadValue {
-                what: "fig6 metrics JSON",
-                got: text.len() as u64,
-            })?;
-            Ok(GridCell::Observed(Box::new((exits, metrics))))
-        }
-        tag => Err(svt_sim::SnapError::BadValue {
-            what: "fig6 grid-cell tag",
-            got: tag as u64,
-        }),
-    }
-}
-
-/// Runs the full Fig. 6 grid — five bar cells plus the Table 1 and
-/// observed-attribution cells — across `jobs` sweep workers. All seven
-/// cells build independent machines, and the merge is in grid order, so
-/// the grid is byte-identical for every `jobs` value.
-pub fn fig6_grid(iters: u64, jobs: usize) -> Fig6Grid {
-    fig6_grid_ckpt(iters, jobs, None)
-}
-
-/// [`fig6_grid`] with optional campaign checkpointing: each of the seven
-/// grid cells journals to `ckpt` under the `fig6` scope as it completes,
-/// and `(ckpt, true)` resumes from the journal, recomputing only missing
-/// or corrupted cells. The merged grid is byte-identical either way.
-pub fn fig6_grid_ckpt(
-    iters: u64,
-    jobs: usize,
-    ckpt: Option<(&svt_sim::checkpoint::Checkpoint, bool)>,
-) -> Fig6Grid {
-    let n_bars = FIG6_CELLS.len();
-    let run = |i: usize| {
-        if i < n_bars {
-            let (_, level, mode) = FIG6_CELLS[i];
-            GridCell::Bar(cpuid_us(level, mode, iters))
-        } else if i == n_bars {
-            GridCell::Table(table1(iters))
-        } else {
-            GridCell::Observed(Box::new(cpuid_observed(SwitchMode::Baseline, iters)))
-        }
-    };
-    let mut cells = svt_sim::checkpoint::sweep(
-        ckpt,
-        "fig6",
-        n_bars + 2,
-        jobs,
-        run,
-        grid_cell_save,
-        grid_cell_load,
-    );
-    let Some(GridCell::Observed(observed)) = cells.pop() else {
-        unreachable!("last grid cell is the observed run")
-    };
-    let Some(GridCell::Table(table1)) = cells.pop() else {
-        unreachable!("sixth grid cell is the Table 1 breakdown")
-    };
-    let times: Vec<f64> = cells
-        .into_iter()
-        .map(|c| match c {
-            GridCell::Bar(t) => t,
-            _ => unreachable!("first five grid cells are bars"),
-        })
-        .collect();
-    let (exits, metrics) = *observed;
-    Fig6Grid {
-        bars: bars_from_times(&times),
-        table1,
-        exits,
-        metrics,
-    }
-}
-
-/// Per-exit-reason attribution of a nested cpuid run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExitAttribution {
-    /// Exit-reason tag, e.g. `"CPUID"`.
-    pub reason: &'static str,
-    /// Total time attributed to this reason, nanoseconds.
-    pub time_ns: f64,
-    /// Number of reflected L2 exits with this reason.
-    pub count: u64,
-}
-
-/// Runs the nested cpuid micro-benchmark under full observability and
-/// returns the per-exit-reason attribution plus the machine's metrics
-/// export (counters, gauges and latency histograms as JSON).
-pub fn cpuid_observed(mode: SwitchMode, iters: u64) -> (Vec<ExitAttribution>, Json) {
-    cpuid_observed_on(mode, ArchId::X86, iters)
-}
-
-/// [`cpuid_observed`] on an explicit ISA backend: the attribution keys
-/// carry the backend's own exit tags (`VIRT_INSTR`, `VS_CSR_WRITE`, …
-/// on RISC-V).
-pub fn cpuid_observed_on(
-    mode: SwitchMode,
-    arch: ArchId,
-    iters: u64,
-) -> (Vec<ExitAttribution>, Json) {
-    let mut m = nested_machine_on(mode, arch);
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).expect("cpuid never blocks");
-    m.obs.metrics.clear();
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, iters, 0, SimDuration::ZERO);
-    m.run(&mut prog).expect("cpuid never blocks");
-    let d = m.clock.since_snapshot(&base);
+    let delta = m
+        .measure(GuestOp::Cpuid, spec.iters)
+        .expect("cpuid never blocks");
     let reflector = m.reflector_name();
-    let exits = d
+    let exits = delta
         .tags_by_time()
         .into_iter()
         .map(|(tag, t)| ExitAttribution {
@@ -351,41 +110,225 @@ pub fn cpuid_observed_on(
             ),
         })
         .collect();
-    (exits, m.obs.metrics.to_json())
+    // cpuid loops attach no devices, so every L2 exit chain is a trap.
+    let traps = m.clock.counter(SimCounter::L2ExitChain.name())
+        + m.clock.counter(SimCounter::L1DirectExit.name());
+    CpuidOutcome {
+        spec: *spec,
+        busy: delta.busy_time(),
+        traps,
+        delta,
+        exits,
+        metrics: std::mem::take(&mut m.obs.metrics),
+    }
 }
 
-/// Reproduces Table 1: the six-part breakdown of one nested cpuid.
-pub fn table1(iters: u64) -> Vec<Table1Row> {
-    let mut m = nested_machine(SwitchMode::Baseline);
-    let d = measure_cpuid(&mut m, iters);
-    let paper = [0.05, 0.81, 1.29, 4.89, 1.40, 1.96];
-    let total: f64 = CostPart::TABLE1
-        .iter()
-        .map(|p| d.part_time(*p).as_us())
-        .sum();
-    CostPart::TABLE1
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let t = d.part_time(*p).as_us() / iters as f64;
-            Table1Row {
+impl CpuidOutcome {
+    /// cpuid latency: busy time per measured iteration, µs.
+    pub fn us(&self) -> f64 {
+        self.busy.as_us() / self.spec.iters as f64
+    }
+
+    /// The Table 1 six-part breakdown of one cpuid, against the paper.
+    pub fn table1(&self) -> Vec<Table1Row> {
+        let d = &self.delta;
+        let paper = [0.05, 0.81, 1.29, 4.89, 1.40, 1.96];
+        let total: f64 = CostPart::TABLE1
+            .iter()
+            .map(|p| d.part_time(*p).as_us())
+            .sum();
+        CostPart::TABLE1
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Table1Row {
                 part: i,
                 label: p.to_string(),
-                time_us: t,
+                time_us: d.part_time(*p).as_us() / self.spec.iters as f64,
                 percent: 100.0 * d.part_time(*p).as_us() / total,
                 paper_us: paper[i],
-            }
+            })
+            .collect()
+    }
+}
+
+/// The five Fig. 6 bars in order: label, level, engine. Each is an
+/// independent machine configuration, so the figure sweeps cleanly.
+pub const FIG6_CELLS: [(&str, Level, SwitchMode); 5] = [
+    ("L0", Level::L0, SwitchMode::Baseline),
+    ("L1", Level::L1, SwitchMode::Baseline),
+    ("L2", Level::L2, SwitchMode::Baseline),
+    ("SW SVt", Level::L2, SwitchMode::SwSvt),
+    ("HW SVt", Level::L2, SwitchMode::HwSvt),
+];
+
+/// The baseline nested bar: the speedup reference, and the run Table 1
+/// and the exit attribution describe.
+const BASELINE_BAR: usize = 2;
+
+/// Everything the Fig. 6 report carries: the five bars, plus the Table 1
+/// breakdown, the per-exit attribution and the metrics export of the
+/// baseline nested bar's run.
+#[derive(Debug, Clone)]
+pub struct Fig6Grid {
+    /// The five Fig. 6 bars, in bar order.
+    pub bars: Vec<Fig6Bar>,
+    /// The Table 1 six-part breakdown of one nested cpuid.
+    pub table1: Vec<Table1Row>,
+    /// Per-exit-reason attribution of the baseline nested run.
+    pub exits: Vec<ExitAttribution>,
+    /// The baseline nested run's metrics export (counters, gauges,
+    /// histograms).
+    pub metrics: Json,
+}
+
+/// The report's detail: Table 1 rows, exit attribution, metrics export.
+type Detail = (Vec<Table1Row>, Vec<ExitAttribution>, Json);
+
+/// What a grid cell keeps of its outcome: the bar time, and for the
+/// baseline nested bar the report's detail.
+struct GridCell {
+    time_us: f64,
+    detail: Option<Box<Detail>>,
+}
+
+fn grid_cell_save(c: &GridCell, w: &mut SnapWriter) {
+    w.f64(c.time_us);
+    w.bool(c.detail.is_some());
+    if let Some(detail) = &c.detail {
+        let (rows, exits, metrics) = &**detail;
+        w.usize(rows.len());
+        for row in rows {
+            w.usize(row.part);
+            w.str(&row.label);
+            w.f64(row.time_us);
+            w.f64(row.percent);
+            w.f64(row.paper_us);
+        }
+        w.usize(exits.len());
+        for e in exits {
+            w.str(e.reason);
+            w.f64(e.time_ns);
+            w.u64(e.count);
+        }
+        // The metrics export round-trips through its own canonical JSON
+        // text (parse(pretty(j)) == j).
+        w.str(&metrics.pretty());
+    }
+}
+
+fn grid_cell_load(r: &mut SnapReader<'_>) -> Result<GridCell, SnapError> {
+    let time_us = r.f64()?;
+    if !r.bool()? {
+        return Ok(GridCell {
+            time_us,
+            detail: None,
+        });
+    }
+    let len = r.usize()?;
+    let mut rows = Vec::with_capacity(len.min(64));
+    for _ in 0..len {
+        rows.push(Table1Row {
+            part: r.usize()?,
+            label: r.str()?.to_string(),
+            time_us: r.f64()?,
+            percent: r.f64()?,
+            paper_us: r.f64()?,
+        });
+    }
+    let len = r.usize()?;
+    let mut exits = Vec::with_capacity(len.min(64));
+    for _ in 0..len {
+        exits.push(ExitAttribution {
+            reason: svt_sim::snapshot::intern_static(r.str()?),
+            time_ns: r.f64()?,
+            count: r.u64()?,
+        });
+    }
+    let text = r.str()?;
+    let metrics = Json::parse(text).map_err(|_| SnapError::BadValue {
+        what: "fig6 metrics JSON",
+        got: text.len() as u64,
+    })?;
+    Ok(GridCell {
+        time_us,
+        detail: Some(Box::new((rows, exits, metrics))),
+    })
+}
+
+/// Runs the Fig. 6 grid on `arch`: the five bars at `iters` measured
+/// iterations each, fanned across `jobs` sweep workers and merged in bar
+/// order, so the grid is byte-identical for every `jobs` value. With a
+/// checkpoint, each bar journals under the `fig6` scope, tagged by its
+/// [`CpuidSpec`], and a resume replays the bars journaled for exactly
+/// these specs.
+pub fn fig6_grid(arch: ArchId, iters: u64, jobs: usize, ckpt: Option<&Checkpoint>) -> Fig6Grid {
+    let specs = FIG6_CELLS.map(|(_, level, mode)| CpuidSpec {
+        level,
+        mode,
+        arch,
+        iters,
+    });
+    let baseline = specs[BASELINE_BAR];
+    let run = |spec: &CpuidSpec| {
+        let o = run_cpuid(spec);
+        let detail = (*spec == baseline)
+            .then(|| Box::new((o.table1(), o.exits.clone(), o.metrics.to_json())));
+        GridCell {
+            time_us: o.us(),
+            detail,
+        }
+    };
+    let mut cells = svt_sim::checkpoint::sweep(
+        ckpt,
+        "fig6",
+        &specs,
+        jobs,
+        run,
+        grid_cell_save,
+        grid_cell_load,
+    );
+    let l2 = cells[BASELINE_BAR].time_us;
+    let bars = FIG6_CELLS
+        .iter()
+        .zip(&cells)
+        .map(|(&(label, _, mode), c)| Fig6Bar {
+            label,
+            time_us: c.time_us,
+            speedup: if mode == SwitchMode::Baseline {
+                1.0
+            } else {
+                l2 / c.time_us
+            },
         })
-        .collect()
+        .collect();
+    let (table1, exits, metrics) = *cells[BASELINE_BAR]
+        .detail
+        .take()
+        .expect("the baseline nested bar carries the report detail");
+    Fig6Grid {
+        bars,
+        table1,
+        exits,
+        metrics,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn spec(level: Level, mode: SwitchMode, iters: u64) -> CpuidSpec {
+        CpuidSpec {
+            level,
+            mode,
+            arch: ArchId::X86,
+            iters,
+        }
+    }
+
     #[test]
     fn fig6_bars_ordered() {
-        let bars = fig6(20);
+        let bars = fig6_grid(ArchId::X86, 20, 1, None).bars;
         assert_eq!(bars.len(), 5);
         assert_eq!(bars[0].label, "L0");
         // L0 < L1 < HW SVt < SW SVt < L2.
@@ -408,18 +351,15 @@ mod tests {
 
     #[test]
     fn fig6_grid_matches_sequential_runs_at_any_worker_count() {
-        let grid = fig6_grid(20, 4);
-        assert_eq!(grid.bars, fig6(20));
-        assert_eq!(grid.table1, table1(20));
-        let (exits, metrics) = cpuid_observed(SwitchMode::Baseline, 20);
-        assert_eq!(grid.exits, exits);
-        assert_eq!(grid.metrics.pretty(), metrics.pretty());
-        assert_eq!(fig6_jobs(20, 3), grid.bars);
-    }
-
-    #[test]
-    fn fig6_bars_on_x86_match_the_default_runner() {
-        assert_eq!(fig6_bars_on(ArchId::X86, 20, 1), fig6(20));
+        let grid = fig6_grid(ArchId::X86, 20, 4, None);
+        for (bar, &(_, level, mode)) in grid.bars.iter().zip(&FIG6_CELLS) {
+            assert_eq!(bar.time_us, run_cpuid(&spec(level, mode, 20)).us());
+        }
+        let o = run_cpuid(&spec(Level::L2, SwitchMode::Baseline, 20));
+        assert_eq!(grid.table1, o.table1());
+        assert_eq!(grid.exits, o.exits);
+        assert_eq!(grid.metrics.pretty(), o.metrics.to_json().pretty());
+        assert_eq!(fig6_grid(ArchId::X86, 20, 3, None).bars, grid.bars);
     }
 
     #[test]
@@ -428,7 +368,7 @@ mod tests {
         // elision comes from scheduling, not VT-x specifics. Without
         // shadowing hardware the baseline pays a trap per vs-CSR access,
         // so both SVt engines must clear 1.0.
-        let bars = fig6_bars_on(ArchId::Riscv, 20, 2);
+        let bars = fig6_grid(ArchId::Riscv, 20, 2, None).bars;
         assert_eq!(bars.len(), 5);
         assert!(bars[0].time_us < bars[2].time_us, "L0 beats nested L2");
         assert!(bars[3].speedup > 1.0, "SW SVt {}", bars[3].speedup);
@@ -437,7 +377,7 @@ mod tests {
 
     #[test]
     fn table1_matches_paper_within_five_percent() {
-        let rows = table1(50);
+        let rows = run_cpuid(&spec(Level::L2, SwitchMode::Baseline, 50)).table1();
         assert_eq!(rows.len(), 6);
         let total: f64 = rows.iter().map(|r| r.time_us).sum();
         assert!((total - 10.4).abs() / 10.4 < 0.02, "total {total}");

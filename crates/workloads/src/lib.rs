@@ -2,7 +2,10 @@
 //!
 //! Every experiment of § 6 has a runner here:
 //!
-//! * [`fig6`]/[`table1`] — the cpuid micro-benchmark (Fig. 6, Table 1);
+//! * [`run_cpuid`] — the cpuid micro-benchmark: one [`CpuidSpec`] (level,
+//!   engine, ISA, iterations) whose [`CpuidOutcome`] yields the Fig. 6
+//!   bar time and the Table 1 breakdown; [`fig6_grid`] sweeps the five
+//!   bars;
 //! * [`channel_study`] — the § 6.1 communication-channel feasibility study;
 //! * [`fig7`] — the I/O subsystem benchmarks (netperf TCP_RR/TCP_STREAM,
 //!   ioping, fio);
@@ -22,12 +25,14 @@
 //! # Examples
 //!
 //! ```
-//! use svt_workloads::cpuid_us;
+//! use svt_arch::ArchId;
 //! use svt_core::SwitchMode;
 //! use svt_hv::Level;
+//! use svt_workloads::{run_cpuid, CpuidSpec};
 //!
 //! // The Fig. 6 baseline bar: one nested cpuid costs ~10.4us.
-//! let t = cpuid_us(Level::L2, SwitchMode::Baseline, 10);
+//! let spec = CpuidSpec { level: Level::L2, mode: SwitchMode::Baseline, arch: ArchId::X86, iters: 10 };
+//! let t = run_cpuid(&spec).us();
 //! assert!((t - 10.4).abs() < 0.3);
 //! ```
 
@@ -58,9 +63,8 @@ pub use channel::{
 };
 pub use chaos::{ChaosPoint, ChaosProbe};
 pub use cpuid::{
-    cpuid_counted, cpuid_observed, cpuid_observed_on, cpuid_us, cpuid_us_on, fig6, fig6_bars_on,
-    fig6_bars_on_ckpt, fig6_grid, fig6_grid_ckpt, fig6_jobs, table1, ExitAttribution, Fig6Bar,
-    Fig6Grid, Table1Row,
+    fig6_grid, run_cpuid, CpuidOutcome, CpuidSpec, ExitAttribution, Fig6Bar, Fig6Grid, Table1Row,
+    FIG6_CELLS,
 };
 pub use disk::{DiskBench, DiskMode};
 pub use fig10::{video_playback, PlaybackResult};

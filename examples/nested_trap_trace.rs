@@ -15,7 +15,7 @@ fn main() -> Result<(), MachineError> {
     let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
     m.run(&mut warm)?;
     m.clock.reset_attribution();
-    m.tracer.enable();
+    m.obs.causal.enable();
     m.obs.spans.enable();
 
     println!("Executing one cpuid in L2 (Algorithm 1 of the paper):\n");
@@ -57,9 +57,9 @@ fn main() -> Result<(), MachineError> {
         println!("   {name:<24} {v}");
     }
 
-    println!("\nArchitectural trace (oldest first):");
-    for (at, ev) in m.tracer.events() {
-        println!("   [{at}] {ev:?}");
+    println!("\nCausal event trace (oldest first):");
+    for e in m.obs.causal.events() {
+        println!("   [{}] {:<3} {}", e.at, e.level.name(), e.phase);
     }
 
     println!("\nTrap-lifecycle spans (exportable as Chrome trace JSON):");

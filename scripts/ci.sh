@@ -330,6 +330,18 @@ if ! cmp -s /tmp/faults_fresh.json /tmp/faults_resumed2.json; then
     exit 1
 fi
 echo "ok   second resume (--jobs 1, full journal) byte-identical too"
+# The full campaign resumed over the smoke journal: every journaled cell
+# was computed for another grid (other rates, other request count), so
+# none may replay; the report must be the fresh full run's.
+cargo run -q -p svt-bench --bin faults -- --json /tmp/faults_full_fresh.json >/dev/null
+target/debug/faults --json /tmp/faults_full_resumed.json \
+    --checkpoint-dir "$CKPT" --resume >/dev/null 2>&1
+if ! cmp -s /tmp/faults_full_fresh.json /tmp/faults_full_resumed.json; then
+    echo "FAIL: full campaign resumed over the smoke journal differs from a fresh full run"
+    diff /tmp/faults_full_fresh.json /tmp/faults_full_resumed.json | head -20
+    exit 1
+fi
+echo "ok   full campaign over the smoke journal byte-identical to a fresh full run"
 
 echo "==> flight-recorder smoke: forced fallback produces a parseable crash dump"
 cargo run -q -p svt-bench --bin faults -- --smoke --dump /tmp/flight.json >/dev/null

@@ -161,12 +161,7 @@ fn sw_svt_ring_traffic_is_observable_in_guest_memory() {
 #[test]
 fn hw_svt_part_breakdown_shows_the_elision() {
     let mut m = nested_machine(SwitchMode::HwSvt);
-    let mut warm = OpLoop::new(GuestOp::Cpuid, 1, 0, SimDuration::ZERO);
-    m.run(&mut warm).unwrap();
-    let base = m.clock.snapshot();
-    let mut prog = OpLoop::new(GuestOp::Cpuid, 50, 0, SimDuration::ZERO);
-    m.run(&mut prog).unwrap();
-    let d = m.clock.since_snapshot(&base);
+    let d = m.measure(GuestOp::Cpuid, 50).unwrap();
     // Switches nearly free; transforms unchanged from baseline.
     assert!(d.part_time(CostPart::SwitchL2L0).as_ns() / 50.0 < 100.0);
     assert!(d.part_time(CostPart::SwitchL0L1).as_ns() / 50.0 < 100.0);
